@@ -17,7 +17,7 @@ from repro.core.access import analyze_loop
 from repro.core.planner import plan_loop
 from repro.hpf.dsl import I, ProgramBuilder, S
 from repro.runtime import run_shmem
-from repro.runtime.shmem import _allocate
+from repro.runtime.shmem import allocate_segment
 from repro.tempest.config import ClusterConfig
 from repro.tempest.memory import HomePolicy
 from repro.tempest.stats import MsgKind
@@ -45,7 +45,7 @@ def build(n=N, iters=ITERS):
 def show_plan():
     prog = build()
     cfg = ClusterConfig(n_nodes=NODES)
-    mem, _ = _allocate(prog, cfg, HomePolicy.ALIGNED)
+    mem = allocate_segment(prog.arrays.values(), cfg, HomePolicy.ALIGNED)
     sweep = prog.body[1].body[0]  # the sweep loop inside the time loop
     inst = analyze_loop(sweep, prog, NODES).instantiate({})
     plan = plan_loop(inst, mem)

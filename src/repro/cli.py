@@ -411,15 +411,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
     if not result.completed:
         # Degraded run: the partition never healed.  Partial stats and a
-        # failure report instead of a traceback; numerics are partial too,
-        # so the uniproc cross-check is skipped.  The trace is still
-        # written — it is exactly the artifact for dissecting the failure.
+        # failure report instead of a traceback, and no uniproc
+        # cross-check.  The trace is still written — it is exactly the
+        # artifact for dissecting the failure.
         _print_degraded(result, cfg)
         if exporter is not None:
             retained = exporter.write(args.trace_out)
             print(f"trace:            {args.trace_out} ({retained} events, "
                   "up to the give-up point)")
         return 4
+    # Both runs share one evaluation, so this holds by construction; the
+    # protocol's oracles are the version-checked sends and the audit.
     result.assert_same_numerics(uni)
 
     print(f"backend:          {result.backend}")

@@ -10,10 +10,17 @@ Every subscript keeps its axis (``At`` becomes a length-1 slice), so mixed
 subscripts broadcast naturally — e.g. the LU rank-1 update
 ``a[i, j] -= a[i, k] * a[k, j]`` evaluates as a (rows, 1) × (1, cols)
 outer product without special cases.
+
+A temporary that one operation produced is reused, via ufunc ``out=``, as
+the output of the operation consuming it whenever it already has that
+operation's result shape.  Each element still sees the same operations
+in the same order, so the results are bit-identical to out-of-place
+evaluation; only the allocations go.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Mapping
 
 import numpy as np
@@ -38,6 +45,30 @@ __all__ = ["eval_expr", "eval_parallel_assign", "eval_reduce", "eval_scalar_assi
 
 Arrays = Mapping[str, np.ndarray]
 Scalars = dict[str, float]
+
+
+#: expressions whose value is a temporary nobody else holds: a Bin, Un or
+#: Dot result may be overwritten in place by the operation consuming it
+_FRESH = (Bin, Un, Dot)
+_BIN_OPS = {
+    "+": (operator.add, np.add),
+    "-": (operator.sub, np.subtract),
+    "*": (operator.mul, np.multiply),
+    "/": (operator.truediv, np.true_divide),
+}
+_UN_UFUNCS = {"neg": np.negative, "abs": np.abs, "sqrt": np.sqrt, "exp": np.exp}
+
+
+def _has_result_shape(temp, other) -> bool:
+    """True iff ``temp`` is an array already shaped like ``temp op other``.
+
+    Only then can the operation write into it: a (rows, 1) temporary
+    meeting a (1, cols) operand (the LU rank-1 update) broadcasts to a
+    larger result and must stay out of place.
+    """
+    return isinstance(temp, np.ndarray) and temp.shape == np.broadcast_shapes(
+        temp.shape, np.shape(other)
+    )
 
 
 class EvalError(RuntimeError):
@@ -97,13 +128,12 @@ def eval_expr(
     if isinstance(expr, Bin):
         lhs = eval_expr(expr.lhs, arrays, scalars, env, loop_lo, loop_hi, loop_step)
         rhs = eval_expr(expr.rhs, arrays, scalars, env, loop_lo, loop_hi, loop_step)
-        if expr.op == "+":
-            return lhs + rhs
-        if expr.op == "-":
-            return lhs - rhs
-        if expr.op == "*":
-            return lhs * rhs
-        return lhs / rhs
+        op, ufunc = _BIN_OPS[expr.op]
+        if isinstance(expr.lhs, _FRESH) and _has_result_shape(lhs, rhs):
+            return ufunc(lhs, rhs, out=lhs)
+        if isinstance(expr.rhs, _FRESH) and _has_result_shape(rhs, lhs):
+            return ufunc(lhs, rhs, out=rhs)
+        return op(lhs, rhs)
     if isinstance(expr, Dot):
         mat = arrays[expr.mat.array][
             _ref_key(expr.mat, arrays, env, loop_lo, loop_hi, loop_step)
@@ -118,13 +148,12 @@ def eval_expr(
         return vec @ mat
     if isinstance(expr, Un):
         val = eval_expr(expr.operand, arrays, scalars, env, loop_lo, loop_hi, loop_step)
+        ufunc = _UN_UFUNCS[expr.op]
+        if isinstance(expr.operand, _FRESH) and isinstance(val, np.ndarray):
+            return ufunc(val, out=val)
         if expr.op == "neg":
             return -val
-        if expr.op == "abs":
-            return np.abs(val)
-        if expr.op == "sqrt":
-            return np.sqrt(val)
-        return np.exp(val)
+        return ufunc(val)
     raise EvalError(f"cannot evaluate {expr!r}")
 
 

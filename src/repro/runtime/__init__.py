@@ -14,13 +14,17 @@ Four backends, matching the paper's evaluation matrix:
 ``run_uniproc``                single-workstation reference run — the
     speedup denominator.
 
-Execution is two-pass: a *functional* pass walks the program in order,
-computing real numerics (vectorized NumPy against the single backing
-store) while emitting per-node access traces; a *timing* pass replays
-those traces as node processes against the discrete-event cluster, where
-the protocol state machines, version validators and contract checks run
-for real.  All backends must produce identical numerics — the integration
-suite asserts it.
+Numerics are evaluated once per program per process:
+:func:`repro.runtime.phases.evaluate` runs every statement as vectorized
+NumPy against a single backing store and memoizes the read-only result on
+the Program, and every backend reports those arrays — so all backends
+produce identical numerics by construction.  Execution is then two-pass:
+a numerics-free *functional* pass walks the program in order, emitting
+per-node access traces; a *timing* pass replays those traces as node
+processes against the discrete-event cluster, where the protocol state
+machines, version validators and contract checks run for real.  The
+protocol's oracles are those version-checked sends, the end-of-run
+coherence audit and the differential tests, not the numerics.
 """
 
 from repro.runtime.results import RunResult

@@ -13,44 +13,31 @@ written section to its owner after the loop.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.hpf.ast import ParallelAssign, Program, Reduce, ScalarAssign
-from repro.runtime.phases import ProgramAnalysis, apply_initializers, walk_phases
+from repro.runtime.phases import ProgramAnalysis, evaluate, walk_phases
 from repro.runtime.results import RunResult
+from repro.runtime.shmem import allocate_segment
 from repro.runtime.traces import NodeTrace, replay
 from repro.tempest.cluster import Cluster
 from repro.tempest.config import ClusterConfig
-from repro.tempest.memory import Distribution, HomePolicy, SharedMemory
+from repro.tempest.memory import HomePolicy
 
 __all__ = ["run_msgpass"]
 
 
 def run_msgpass(program: Program, config: ClusterConfig | None = None) -> RunResult:
     config = config or ClusterConfig()
+    arrays, scalars = evaluate(program)
     # A shared segment is still allocated (the nodes' memories), but no
     # coherence traffic ever touches it — data moves by explicit messages.
-    mem = SharedMemory(config, home_policy=HomePolicy.ALIGNED)
-    arrays: dict[str, np.ndarray] = {}
-    for decl in program.arrays.values():
-        if decl.dist == "replicated":
-            arrays[decl.name] = np.zeros(decl.shape, order="F")
-        else:
-            dist = (
-                Distribution.block(config.n_nodes)
-                if decl.dist == "block"
-                else Distribution.cyclic(config.n_nodes)
-            )
-            arrays[decl.name] = mem.alloc(decl.name, decl.shape, dist).data
-    apply_initializers(program, arrays)
-    scalars = dict(program.scalars)
+    mem = allocate_segment(program.arrays.values(), config, HomePolicy.ALIGNED)
     analysis = ProgramAnalysis(program, config.n_nodes)
     traces = [NodeTrace(n) for n in range(config.n_nodes)]
     itemsize = 8
     total_msgs = 0
     total_bytes = 0
 
-    for rec in walk_phases(program, analysis, arrays, scalars):
+    for rec in walk_phases(analysis):
         if isinstance(rec.stmt, ScalarAssign):
             for t in traces:
                 t.compute(rec.compute_units(t.node) * config.compute_ns_per_unit)
@@ -112,7 +99,7 @@ def run_msgpass(program: Program, config: ClusterConfig | None = None) -> RunRes
         "msgpass",
         stats.elapsed_ns,
         stats,
-        {name: arr.copy() for name, arr in arrays.items()},
-        dict(scalars),
+        arrays,
+        scalars,
         {"mp_messages": total_msgs, "mp_bytes": total_bytes, "dual_cpu": config.dual_cpu},
     )

@@ -1,17 +1,30 @@
-"""The functional pass: walk a program, run numerics, yield phase records.
+"""Program walking: the numerics-free phase walk and the one evaluation.
 
 A *phase* is one dynamic execution of a parallel statement (a parallel
 loop instance, a reduction, or a replicated scalar update).  Sequential
 loops unroll here; their variables feed the environment against which
-symbolic bounds and access sets instantiate.  Numerics are evaluated
-eagerly in program order against the supplied arrays, so by the time a
-phase record is yielded its values are already in the backing store —
-exactly the semantics the barrier-separated SPMD schedule guarantees on
-the simulated machine.
+symbolic bounds and access sets instantiate.
+
+Two consumers share one traversal of the dynamic statement sequence:
+
+:func:`walk_phases`
+    yields one :class:`PhaseRecord` per phase for trace generation and
+    the compute model.  Loop bounds and access sets depend only on
+    sequential-loop variables — never on scalar or array values — so the
+    walk runs no numerics at all.
+:func:`evaluate`
+    runs the program's numerics (vectorized NumPy, in program order) and
+    returns the final arrays and scalars.  Evaluation is global and
+    independent of partitioning, so every backend takes its numerics from
+    here; the result is memoized per :class:`Program` object, which makes
+    a program's numerics run once per process however many backends (or
+    node counts) replay it.
 """
 
 from __future__ import annotations
 
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -28,7 +41,13 @@ from repro.hpf.ast import (
 )
 from repro.hpf.eval import eval_parallel_assign, eval_reduce, eval_scalar_assign
 
-__all__ = ["PhaseRecord", "ProgramAnalysis", "apply_initializers", "walk_phases"]
+__all__ = [
+    "PhaseRecord",
+    "ProgramAnalysis",
+    "apply_initializers",
+    "evaluate",
+    "walk_phases",
+]
 
 #: compute-model weight of a replicated scalar statement (work units)
 SCALAR_UNITS = 20
@@ -94,16 +113,14 @@ class ProgramAnalysis:
         return hit
 
 
-def walk_phases(
-    program: Program,
-    analysis: ProgramAnalysis,
-    arrays: dict[str, np.ndarray],
-    scalars: dict[str, float],
-) -> Iterator[PhaseRecord]:
-    """Execute the program functionally, yielding one record per phase."""
-    counter = [0]
+def _dynamic_statements(program: Program) -> Iterator[tuple[Stmt, dict[str, int]]]:
+    """Each dynamic statement in program order, with the live environment.
 
-    def visit(body, env: dict[str, int]) -> Iterator[PhaseRecord]:
+    The environment dict is updated in place as sequential loops advance;
+    consumers that keep it must copy it.
+    """
+
+    def visit(body, env: dict[str, int]):
         for stmt in body:
             if isinstance(stmt, SeqLoop):
                 lo = stmt.lo.eval(env)
@@ -112,21 +129,78 @@ def walk_phases(
                     env[stmt.var] = v
                     yield from visit(stmt.body, env)
                 env.pop(stmt.var, None)
-            elif isinstance(stmt, ParallelAssign):
-                counter[0] += 1
-                eval_parallel_assign(stmt, arrays, scalars, env)
-                inst = analysis.access(stmt).instantiate(env)
-                yield PhaseRecord(counter[0], stmt, dict(env), inst)
-            elif isinstance(stmt, Reduce):
-                counter[0] += 1
-                eval_reduce(stmt, arrays, scalars, env)
-                inst = analysis.access(stmt).instantiate(env)
-                yield PhaseRecord(counter[0], stmt, dict(env), inst)
-            elif isinstance(stmt, ScalarAssign):
-                counter[0] += 1
-                eval_scalar_assign(stmt, scalars)
-                yield PhaseRecord(counter[0], stmt, dict(env), None)
+            elif isinstance(stmt, (ParallelAssign, Reduce, ScalarAssign)):
+                yield stmt, env
             else:  # pragma: no cover
                 raise TypeError(f"unknown statement {stmt!r}")
 
     yield from visit(program.body, {})
+
+
+def walk_phases(analysis: ProgramAnalysis) -> Iterator[PhaseRecord]:
+    """Yield one record per phase of ``analysis.program``; no numerics."""
+    for index, (stmt, env) in enumerate(_dynamic_statements(analysis.program), 1):
+        inst = (
+            None
+            if isinstance(stmt, ScalarAssign)
+            else analysis.access(stmt).instantiate(env)
+        )
+        yield PhaseRecord(index, stmt, dict(env), inst)
+
+
+# --------------------------------------------------------------------- #
+# the one numerics evaluation
+# --------------------------------------------------------------------- #
+#: how many programs' numerics stay memoized at once
+_MEMO_SIZE = 4
+#: id(program) -> (weakref to the program, frozen arrays, final scalars).
+#: Weak: an entry dies with its Program, so the memo never keeps numerics
+#: alive on its own; it lives outside the Program, so it never travels
+#: when a Program is pickled or content-keyed.
+_memo: OrderedDict[int, tuple[weakref.ref, dict[str, np.ndarray], dict[str, float]]] = (
+    OrderedDict()
+)
+
+
+def _forget(key: int, ref: weakref.ref) -> None:
+    entry = _memo.get(key)
+    if entry is not None and entry[0] is ref:
+        del _memo[key]
+
+
+def evaluate(program: Program) -> tuple[dict[str, np.ndarray], dict[str, float]]:
+    """The program's final numerics: ``(arrays, scalars)``.
+
+    Arrays are Fortran-order float64 — the layout of
+    ``GlobalArray.data`` — filled by the initializers, then updated by
+    every dynamic statement in program order.  They come back read-only
+    and are shared between callers (they are the memo's own arrays, never
+    a copy); the scalars dict is the caller's own.  Repeat calls with the
+    same Program object return the memoized result without evaluating.
+    """
+    key = id(program)
+    entry = _memo.get(key)
+    if entry is not None and entry[0]() is program:
+        _memo.move_to_end(key)
+        return dict(entry[1]), dict(entry[2])
+
+    arrays = {
+        decl.name: np.zeros(decl.shape, order="F") for decl in program.arrays.values()
+    }
+    apply_initializers(program, arrays)
+    scalars = dict(program.scalars)
+    for stmt, env in _dynamic_statements(program):
+        if isinstance(stmt, ParallelAssign):
+            eval_parallel_assign(stmt, arrays, scalars, env)
+        elif isinstance(stmt, Reduce):
+            eval_reduce(stmt, arrays, scalars, env)
+        else:
+            eval_scalar_assign(stmt, scalars)
+    for arr in arrays.values():
+        arr.flags.writeable = False
+
+    ref = weakref.ref(program, lambda r, key=key: _forget(key, r))
+    _memo[key] = (ref, arrays, dict(scalars))
+    while len(_memo) > _MEMO_SIZE:
+        _memo.popitem(last=False)
+    return dict(arrays), scalars

@@ -46,7 +46,7 @@ class RunResult:
     scalars: dict[str, float]
     extra: dict = field(default_factory=dict)
     #: False for a *degraded* run: the interconnect partitioned, the
-    #: transport gave up and parked instead of aborting, and stats/arrays
+    #: transport gave up and parked instead of aborting, and stats
     #: reflect the state at the give-up point (see ``stats.failure``).
     completed: bool = True
     #: per-phase time-breakdown (see repro.obs.PhaseProfiler.breakdown);

@@ -19,22 +19,22 @@ Two-phase structure
 Execution is split into an explicit *build* phase and an *execute* phase:
 
 ``build_shmem_plan``
-    the functional pass — allocates the shared segment, evaluates the
-    program's numerics, runs the compiler analysis and planner, and
+    the functional pass — allocates the shared segment, runs the
+    compiler analysis and planner over the numerics-free phase walk, and
     reduces everything to a :class:`ShmemPlan`: per-node op traces plus
-    the final arrays/scalars.  The plan depends only on the program and
-    the *geometry* half of the config (node count, block/page sizes,
-    compute-cost model) — never on the fault, combining or switch
-    configuration — and is a plain picklable value, so ``repro.serve``
-    memoizes it on disk and reuses it across every cell of an ablation
-    matrix that varies only the wire.
+    the final arrays/scalars, taken from the program's one shared
+    evaluation (:func:`repro.runtime.phases.evaluate`).  The plan
+    depends only on the program and the *geometry* half of the config
+    (node count, block/page sizes, compute-cost model) — never on the
+    fault, combining or switch configuration — and is a plain picklable
+    value, so ``repro.serve`` memoizes it on disk and reuses it across
+    every cell of an ablation matrix that varies only the wire.
 
 ``execute_shmem_plan``
     the timing pass — replays the plan's traces against a freshly built
     cluster under the *full* config (faults, combining, switch, crash
     recovery).  Array contents are irrelevant to timing (the simulator
-    moves block ids, not data), so the segment is re-allocated without
-    re-running initializers.
+    moves block ids, not data), so the segment is allocated empty.
 
 ``run_shmem`` composes the two and is byte-identical to the historical
 single-pass implementation.
@@ -43,6 +43,7 @@ single-pass implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields as dataclass_fields
+from typing import Iterable
 
 import numpy as np
 
@@ -61,7 +62,7 @@ from repro.core.contract import check_plan
 from repro.core.planner import CommPlan, plan_loop
 from repro.core.pre import AvailabilityTracker
 from repro.hpf.ast import ArrayDecl, ParallelAssign, Program, Reduce, ScalarAssign
-from repro.runtime.phases import PhaseRecord, ProgramAnalysis, apply_initializers, walk_phases
+from repro.runtime.phases import PhaseRecord, ProgramAnalysis, evaluate, walk_phases
 from repro.runtime.results import RunResult
 from repro.runtime.traces import NodeTrace, replay
 from repro.tempest.cluster import Cluster
@@ -71,6 +72,7 @@ from repro.tempest.memory import Distribution, HomePolicy, SharedMemory
 
 __all__ = [
     "ShmemPlan",
+    "allocate_segment",
     "build_shmem_plan",
     "execute_shmem_plan",
     "run_shmem",
@@ -98,21 +100,28 @@ def trace_geometry(config: ClusterConfig) -> dict:
     }
 
 
-def _allocate(program: Program, config: ClusterConfig, home_policy: HomePolicy):
-    """Build the shared segment plus plain storage for replicated arrays."""
+def allocate_segment(
+    array_decls: Iterable[ArrayDecl], config: ClusterConfig, home_policy: HomePolicy
+) -> SharedMemory:
+    """The shared segment for a program's distributed arrays.
+
+    Allocation order fixes the block numbering, so replaying the same
+    declarations reproduces it exactly.  The data stays zeroed: the
+    simulator moves block ids, never values (the run's numerics come from
+    :func:`repro.runtime.phases.evaluate`).  Replicated arrays live in
+    every node's private memory and take no segment space.
+    """
     mem = SharedMemory(config, home_policy=home_policy)
-    arrays: dict[str, np.ndarray] = {}
-    for decl in program.arrays.values():
+    for decl in array_decls:
         if decl.dist == "replicated":
-            arrays[decl.name] = np.zeros(decl.shape, order="F")
-        else:
-            dist = (
-                Distribution.block(config.n_nodes)
-                if decl.dist == "block"
-                else Distribution.cyclic(config.n_nodes)
-            )
-            arrays[decl.name] = mem.alloc(decl.name, decl.shape, dist).data
-    return mem, arrays
+            continue
+        dist = (
+            Distribution.block(config.n_nodes)
+            if decl.dist == "block"
+            else Distribution.cyclic(config.n_nodes)
+        )
+        mem.alloc(decl.name, decl.shape, dist)
+    return mem
 
 
 def _phase_blocks(mem: SharedMemory, sections) -> np.ndarray:
@@ -233,8 +242,9 @@ class ShmemPlan:
     array_decls: tuple[ArrayDecl, ...]
     #: per-node op lists (see repro.runtime.traces for the vocabulary)
     traces: list[list[tuple]]
-    #: final array values from the functional pass (the simulation never
-    #: touches data, so these ARE the run's numerics)
+    #: the program's evaluated final arrays, read-only and shared with
+    #: every other backend (the simulation never touches data, so these
+    #: ARE the run's numerics)
     arrays: dict[str, np.ndarray]
     scalars: dict[str, float]
     #: geometry fields (see :func:`trace_geometry`) the plan was built under
@@ -275,7 +285,7 @@ def build_shmem_plan(
     home_policy: HomePolicy = HomePolicy.ALIGNED,
     check_contracts: bool = True,
 ) -> ShmemPlan:
-    """The functional pass: evaluate numerics and emit per-node traces.
+    """The functional pass: emit per-node traces over the shared numerics.
 
     Deterministic in its arguments: the same program and geometry produce
     an equivalent plan (op-for-op identical traces, identical numerics),
@@ -284,9 +294,8 @@ def build_shmem_plan(
     """
     config = config or ClusterConfig()
     _check_optimizer_options(optimize, rt_elim, pre, advisory, "invalidate")
-    mem, arrays = _allocate(program, config, home_policy)
-    apply_initializers(program, arrays)
-    scalars = dict(program.scalars)
+    arrays, scalars = evaluate(program)
+    mem = allocate_segment(program.arrays.values(), config, home_policy)
     analysis = ProgramAnalysis(program, config.n_nodes)
     traces = [NodeTrace(n) for n in range(config.n_nodes)]
     tracker = AvailabilityTracker(config.n_nodes) if pre else None
@@ -297,7 +306,7 @@ def build_shmem_plan(
     controlled_blocks = 0
 
     last_index = 0
-    for rec in walk_phases(program, analysis, arrays, scalars):
+    for rec in walk_phases(analysis):
         # Phase markers carry no simulated cost; plain replay skips them,
         # instrumented replay turns them into ``phase`` instants.
         label = getattr(rec.stmt, "label", "") or rec.kind
@@ -409,24 +418,15 @@ def build_shmem_plan(
     )
 
 
-def _reallocate_segment(plan: ShmemPlan, config: ClusterConfig) -> SharedMemory:
-    """Rebuild the shared segment a plan's traces were numbered against.
-
-    Allocation order reproduces the build's block numbering exactly; the
-    data is left zeroed because the timing pass moves block ids, never
-    values (the run's numerics live in ``plan.arrays``).
-    """
-    mem = SharedMemory(config, home_policy=plan.home_policy)
-    for decl in plan.array_decls:
-        if decl.dist == "replicated":
-            continue
-        dist = (
-            Distribution.block(config.n_nodes)
-            if decl.dist == "block"
-            else Distribution.cyclic(config.n_nodes)
-        )
-        mem.alloc(decl.name, decl.shape, dist)
-    return mem
+def _readonly(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Read-only views of a plan's arrays: every result replayed from one
+    (memoized) plan shares its numerics, and none may alter the others'."""
+    out = {}
+    for name, arr in arrays.items():
+        view = arr.view()
+        view.flags.writeable = False
+        out[name] = view
+    return out
 
 
 def execute_shmem_plan(
@@ -459,7 +459,7 @@ def execute_shmem_plan(
             f"plan for {plan.program_name!r} was built under different "
             f"cluster geometry (differing fields: {changed})"
         )
-    mem = _reallocate_segment(plan, config)
+    mem = allocate_segment(plan.array_decls, config, plan.home_policy)
     profiler = None
     analyzer = None
     if profile_phases or critical_path:
@@ -554,7 +554,7 @@ def execute_shmem_plan(
         backend,
         stats.elapsed_ns,
         stats,
-        {name: arr.copy() for name, arr in plan.arrays.items()},
+        _readonly(plan.arrays),
         dict(plan.scalars),
         extra,
         completed=stats.completed,

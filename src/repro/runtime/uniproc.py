@@ -1,7 +1,8 @@
 """Uniprocessor reference run — the speedup denominator.
 
-Runs the program's numerics on a single logical processor and charges the
-full compute-model cost with zero communication, matching the paper's
+Takes the program's numerics from the shared evaluation
+(:func:`repro.runtime.phases.evaluate`) and charges the full single-processor
+compute-model cost with zero communication, matching the paper's
 "speedups are calculated relative to a uniprocessor run".  (The paper's
 uniprocessor baselines are *not* cache-blocked, which is where its
 superlinear speedups come from; our compute model is cache-less, so
@@ -10,10 +11,8 @@ speedup ceilings equal the node count — see DESIGN.md.)
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.hpf.ast import Program
-from repro.runtime.phases import ProgramAnalysis, apply_initializers, walk_phases
+from repro.runtime.phases import ProgramAnalysis, evaluate, walk_phases
 from repro.runtime.results import RunResult
 from repro.tempest.config import ClusterConfig
 
@@ -22,25 +21,15 @@ __all__ = ["run_uniproc"]
 
 def run_uniproc(program: Program, config: ClusterConfig | None = None) -> RunResult:
     config = config or ClusterConfig()
-    arrays = {
-        decl.name: np.zeros(decl.shape, order="F") for decl in program.arrays.values()
-    }
-    apply_initializers(program, arrays)
-    scalars = dict(program.scalars)
-    analysis = ProgramAnalysis(program, n_procs=1)
+    arrays, scalars = evaluate(program)
+    # The time is the 1-proc compute model alone: no communication.
     total_ns = 0
     phases = 0
-    for rec in walk_phases(program, analysis, arrays, scalars):
+    for rec in walk_phases(ProgramAnalysis(program, n_procs=1)):
         phases += 1
         total_ns += rec.compute_units(0) * config.compute_ns_per_unit
         if rec.kind != "scalar":
             total_ns += config.loop_overhead_ns
     return RunResult(
-        program.name,
-        "uniproc",
-        total_ns,
-        None,
-        {name: arr.copy() for name, arr in arrays.items()},
-        dict(scalars),
-        {"phases": phases},
+        program.name, "uniproc", total_ns, None, arrays, scalars, {"phases": phases}
     )

@@ -67,6 +67,8 @@ class PlanCache:
         self.built = 0
 
     def get_or_build(self, request: RunRequest, salt: str):
+        """The request's plan; a request naming its program inline keys
+        and builds from that object without rebuilding it."""
         pkey = plan_key(request, salt)
         plan = self._memo.get(pkey)
         if plan is not None:
@@ -108,6 +110,10 @@ def execute_request(
 ) -> RunResult:
     """Compute one request in this process (no result-cache involvement)."""
     program = request.build_program()
+    if request.program is None:
+        # Bind the built Program so keying and the plan build reuse it
+        # (both spellings of a program share every key).
+        request = replace(request, app=None, program=program)
     if request.backend == "uniproc":
         return run_uniproc(program, request.config)
     if request.backend == "msgpass":

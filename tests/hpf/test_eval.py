@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.symbolic import Sym
-from repro.hpf.dsl import I, ProgramBuilder, S, sqrt
+from repro.hpf.dsl import ABS, I, ProgramBuilder, S, sqrt
 from repro.hpf.eval import (
     EvalError,
     eval_expr,
@@ -120,6 +120,46 @@ class TestEvalParallelAssign:
         OUT = np.zeros(8, order="F")
         eval_parallel_assign(stmt, {"a": A, "out": OUT}, {}, {})
         np.testing.assert_allclose(OUT, np.sqrt(A))
+
+
+class TestInPlaceTemporaries:
+    """Fresh temporaries are reused with ``out=``; the bits never change."""
+
+    def test_stencil_bitwise_equal_to_out_of_place(self):
+        b = ProgramBuilder("p")
+        u = b.array("u", (8, 8))
+        expr = (
+            u[S(0, 5), I] + u[S(2, 7), I] + u[S(1, 6), I - 1] + u[S(1, 6), I + 1]
+        ) * 0.25 - u[S(1, 6), I] / 3.0
+        U = farray(8, 8)
+        before = U.copy()
+        got = eval_expr(expr, {"u": U}, {}, {}, 1, 6)
+        want = (U[0:6, 1:7] + U[2:8, 1:7] + U[1:7, 0:6] + U[1:7, 2:8]) * 0.25 - (
+            U[1:7, 1:7] / 3.0
+        )
+        assert got.tobytes() == want.tobytes()
+        assert U.tobytes() == before.tobytes()  # operands are never written
+
+    def test_unary_chain_bitwise_equal(self):
+        b = ProgramBuilder("p")
+        u = b.array("u", (8, 8))
+        v = b.array("v", (8, 8))
+        expr = -sqrt(ABS(u[S(0, 7), I] - v[S(0, 7), I]))
+        U, V = farray(8, 8), farray(8, 8) * 2
+        got = eval_expr(expr, {"u": U, "v": V}, {}, {}, 0, 7)
+        assert got.tobytes() == (-np.sqrt(np.abs(U - V))).tobytes()
+
+    def test_broadcasting_temporary_stays_out_of_place(self):
+        # A fresh (rows, 1) temporary meeting a (1, cols) operand broadcasts
+        # to a larger result, so it cannot hold it.
+        b = ProgramBuilder("p")
+        a = b.array("a", (6, 6))
+        k = Sym("k")
+        expr = (a[S(2, 5), k] * 2.0) * a[k, I]
+        A = farray(6, 6)
+        got = eval_expr(expr, {"a": A}, {}, {"k": 1}, 2, 5)
+        assert got.shape == (4, 4)
+        assert got.tobytes() == ((A[2:6, 1:2] * 2.0) * A[1:2, 2:6]).tobytes()
 
 
 class TestEvalReduce:

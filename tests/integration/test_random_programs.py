@@ -6,6 +6,10 @@ and time-step loops — and asserts the system-level invariants:
 
 * every backend (unopt, optimized with every knob, msgpass) computes
   numerics identical to the uniprocessor reference;
+* the shared evaluation (``repro.runtime.phases.evaluate``) matches a
+  per-element reference interpreter — bit for bit on arrays no reduction
+  feeds.  Once every backend takes its numerics from that one evaluation,
+  the cross-backend check alone could no longer catch an evaluator bug;
 * no stale read, contract violation or deadlock occurs anywhere;
 * the optimized run never takes more demand misses than the unoptimized.
 
@@ -13,14 +17,19 @@ This is the widest net over the whole pipeline: analysis, planning,
 contract, protocol and executors all under one generator.
 """
 
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.hpf.eval as hpf_eval
 from repro.hpf.dsl import I, ProgramBuilder, S
-from repro.runtime import run_msgpass, run_shmem, run_uniproc
+from repro.runtime import RunResult, run_msgpass, run_shmem, run_uniproc
+from repro.runtime.phases import evaluate
 from repro.tempest.config import ClusterConfig
+from tests.reference_interp import interpret
 
 
 @st.composite
@@ -102,3 +111,54 @@ def test_random_programs_update_protocol_agrees(prog):
     uni = run_uniproc(prog, CFG)
     upd = run_shmem(prog, CFG, protocol="update")
     upd.assert_same_numerics(uni)
+
+
+def _bits(arr: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(arr).view(np.uint64)
+
+
+def assert_matches_reference(prog) -> None:
+    """``evaluate(prog)`` against the per-element reference interpreter."""
+    arrays, scalars = evaluate(prog)
+    ref_arrays, ref_scalars, exact = interpret(prog)
+    for name in sorted(exact):
+        assert arrays[name].shape == ref_arrays[name].shape
+        assert np.array_equal(_bits(arrays[name]), _bits(ref_arrays[name])), (
+            f"array {name!r} differs bitwise from the reference"
+        )
+    got = RunResult(prog.name, "evaluate", 0, None, arrays, scalars)
+    ref = RunResult(prog.name, "reference", 0, None, ref_arrays, ref_scalars)
+    got.assert_same_numerics(ref)
+
+
+@given(prog=stencil_programs())
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_random_programs_evaluate_matches_reference(prog):
+    assert_matches_reference(prog)
+
+
+def _fixed_program():
+    b = ProgramBuilder("fixed")
+    u = b.array("u", (8, 16), init=lambda shape: np.arange(128.0).reshape(shape))
+    v = b.array("v", (8, 16))
+    with b.timesteps(2):
+        b.forall(1, 14, v[S(0, 7), I], (u[S(0, 7), I - 1] + u[S(0, 7), I + 1]) * 0.5)
+        b.forall(1, 14, u[S(0, 7), I], v[S(0, 7), I] * 0.5 + u[S(0, 7), I] * 0.5)
+    b.reduce("norm", 0, 15, u[S(0, 7), I] * u[S(0, 7), I])
+    return b.build()
+
+
+def test_reference_check_passes_on_fixed_program():
+    assert_matches_reference(_fixed_program())
+
+
+def test_reference_check_catches_a_broken_evaluator(monkeypatch):
+    # An evaluator that subtracts where it should add: every backend would
+    # still agree with every other, but not with the reference.
+    monkeypatch.setitem(hpf_eval._BIN_OPS, "+", (operator.sub, np.subtract))
+    with pytest.raises(AssertionError):
+        assert_matches_reference(_fixed_program())

@@ -215,3 +215,24 @@ class TestBatchAndAsync:
                 sess.submit(req).result()
         # The failed key is not stuck in the in-flight table.
         assert sess._inflight == {}
+
+
+class TestProgramBuiltOnce:
+    def test_shmem_cell_builds_its_program_once(self, cfg, monkeypatch):
+        from repro.apps import AppSpec
+
+        builds = []
+        orig = AppSpec.program
+
+        def counted(self, *args, **kwargs):
+            builds.append(self.name)
+            return orig(self, *args, **kwargs)
+
+        monkeypatch.setattr(AppSpec, "program", counted)
+        req = jacobi_request(cfg, optimize=True)
+        result = execute_request(req)
+        assert builds == ["jacobi"]
+        monkeypatch.setattr(AppSpec, "program", orig)
+        # serving from the bound Program computes what a direct run does
+        direct = run_shmem(req.build_program(), cfg, optimize=True)
+        assert results_equal(result, direct)
