@@ -13,6 +13,7 @@ from typing import Sequence
 
 from repro.apps import APPS
 from repro.runtime import run_msgpass, run_shmem, run_uniproc
+from repro.runtime.phases import start_evaluation
 from repro.tempest.config import ClusterConfig, CombineConfig, SwitchConfig
 from repro.tempest.faults import (
     CrashScenario,
@@ -391,24 +392,30 @@ def main(argv: Sequence[str] | None = None) -> int:
         f"arrays={prog.total_bytes() / 1e6:.1f} MB\n"
     )
 
-    uni = run_uniproc(prog, cfg)
-    if args.backend == "msgpass":
-        result = run_msgpass(prog, cfg)
-    else:
-        result = run_shmem(
-            prog,
-            cfg,
-            optimize=not args.no_opt,
-            bulk=not args.no_bulk,
-            rt_elim=args.rt_elim,
-            pre=args.pre,
-            advisory=args.advisory or False,
-            protocol=args.protocol,
-            audit_each_barrier=args.audit,
-            obs=bus,
-            profile_phases=args.profile_phases,
-            critical_path=want_critical,
-        )
+    # The numerics run on a background thread while the backend plans and
+    # replays; the backend joins them when it builds its result, and every
+    # exit path joins them, so no evaluation thread outlives main().
+    evaluation = start_evaluation(prog)
+    try:
+        if args.backend == "msgpass":
+            result = run_msgpass(prog, cfg)
+        else:
+            result = run_shmem(
+                prog,
+                cfg,
+                optimize=not args.no_opt,
+                bulk=not args.no_bulk,
+                rt_elim=args.rt_elim,
+                pre=args.pre,
+                advisory=args.advisory or False,
+                protocol=args.protocol,
+                audit_each_barrier=args.audit,
+                obs=bus,
+                profile_phases=args.profile_phases,
+                critical_path=want_critical,
+            )
+    finally:
+        evaluation.join()
     if not result.completed:
         # Degraded run: the partition never healed.  Partial stats and a
         # failure report instead of a traceback, and no uniproc
@@ -422,6 +429,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 4
     # Both runs share one evaluation, so this holds by construction; the
     # protocol's oracles are the version-checked sends and the audit.
+    uni = run_uniproc(prog, cfg)
     result.assert_same_numerics(uni)
 
     print(f"backend:          {result.backend}")

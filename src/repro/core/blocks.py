@@ -15,6 +15,7 @@ into sorted block-id arrays against a :class:`GlobalArray`'s geometry:
 ``section_byte_runs``  maximal contiguous byte runs of a section
 ``section_blocks``     all blocks touched (what accesses actually hit)
 ``shmem_limits``       (controllable, boundary) block split
+``union_blocks``       sorted union of sorted block-id pieces
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from repro.core.sections import Section
 from repro.tempest.memory import GlobalArray
 
-__all__ = ["section_blocks", "section_byte_runs", "shmem_limits"]
+__all__ = ["section_blocks", "section_byte_runs", "shmem_limits", "union_blocks"]
 
 
 def section_byte_runs(arr: GlobalArray, sec: Section) -> list[tuple[int, int]]:
@@ -100,14 +101,36 @@ def section_byte_runs(arr: GlobalArray, sec: Section) -> list[tuple[int, int]]:
     return runs
 
 
+def union_blocks(pieces: list[np.ndarray]) -> np.ndarray:
+    """Sorted unique union of pieces that are each sorted and unique.
+
+    Block ids come in ascending runs (one per byte run, in address order),
+    so their concatenation is usually already non-decreasing: dropping
+    adjacent duplicates is then one linear pass.  ``np.unique`` — which
+    hashes on NumPy 2.x — only handles pieces that arrive out of order.
+    """
+    if len(pieces) == 1:
+        return pieces[0]
+    if not pieces:
+        return np.empty(0, dtype=np.int64)
+    ids = np.concatenate(pieces)
+    step = np.diff(ids)
+    if (step < 0).any():
+        return np.unique(ids)
+    keep = np.ones(len(ids), dtype=bool)
+    keep[1:] = step != 0
+    return ids[keep]
+
+
 def section_blocks(arr: GlobalArray, sec: Section) -> np.ndarray:
     """Sorted unique ids of every block the section touches."""
     runs = section_byte_runs(arr, sec)
     if not runs:
         return np.empty(0, dtype=np.int64)
     bs = arr.config.block_size
-    pieces = [np.arange(lo // bs, (hi - 1) // bs + 1, dtype=np.int64) for lo, hi in runs]
-    return np.unique(np.concatenate(pieces))
+    return union_blocks(
+        [np.arange(lo // bs, (hi - 1) // bs + 1, dtype=np.int64) for lo, hi in runs]
+    )
 
 
 def shmem_limits(arr: GlobalArray, sec: Section) -> tuple[np.ndarray, np.ndarray]:
@@ -130,10 +153,7 @@ def shmem_limits(arr: GlobalArray, sec: Section) -> tuple[np.ndarray, np.ndarray
         last = hi // bs               # exclusive
         if last > first:
             inner_pieces.append(np.arange(first, last, dtype=np.int64))
-    touched = np.unique(np.concatenate(all_pieces))
-    if inner_pieces:
-        inner = np.unique(np.concatenate(inner_pieces))
-    else:
-        inner = np.empty(0, dtype=np.int64)
+    touched = union_blocks(all_pieces)
+    inner = union_blocks(inner_pieces)
     boundary = np.setdiff1d(touched, inner, assume_unique=True)
     return inner, boundary

@@ -13,9 +13,13 @@ outer product without special cases.
 
 A temporary that one operation produced is reused, via ufunc ``out=``, as
 the output of the operation consuming it whenever it already has that
-operation's result shape.  Each element still sees the same operations
-in the same order, so the results are bit-identical to out-of-place
-evaluation; only the allocations go.
+operation's result shape.  When a parallel assignment's right-hand side
+never reads its destination array, the left spine of its top-level
+``Bin`` computes straight into the destination view instead, so no
+full-size temporary is made at all; a right-hand side that reads the
+destination keeps the temporary, which INDEPENDENT semantics need.  Each
+element still sees the same operations in the same order, so the results
+are bit-identical to out-of-place evaluation; only the allocations go.
 """
 
 from __future__ import annotations
@@ -126,14 +130,7 @@ def eval_expr(
             _ref_key(expr, arrays, env, loop_lo, loop_hi, loop_step)
         ]
     if isinstance(expr, Bin):
-        lhs = eval_expr(expr.lhs, arrays, scalars, env, loop_lo, loop_hi, loop_step)
-        rhs = eval_expr(expr.rhs, arrays, scalars, env, loop_lo, loop_hi, loop_step)
-        op, ufunc = _BIN_OPS[expr.op]
-        if isinstance(expr.lhs, _FRESH) and _has_result_shape(lhs, rhs):
-            return ufunc(lhs, rhs, out=lhs)
-        if isinstance(expr.rhs, _FRESH) and _has_result_shape(rhs, lhs):
-            return ufunc(lhs, rhs, out=rhs)
-        return op(lhs, rhs)
+        return _eval_bin(expr, arrays, scalars, env, loop_lo, loop_hi, loop_step)
     if isinstance(expr, Dot):
         mat = arrays[expr.mat.array][
             _ref_key(expr.mat, arrays, env, loop_lo, loop_hi, loop_step)
@@ -157,6 +154,43 @@ def eval_expr(
     raise EvalError(f"cannot evaluate {expr!r}")
 
 
+def _eval_bin(
+    expr: Bin,
+    arrays: Arrays,
+    scalars: Scalars,
+    env: Env,
+    loop_lo: int,
+    loop_hi: int,
+    loop_step: int = 1,
+    dest: np.ndarray | None = None,
+):
+    """A ``Bin``'s value; with ``dest``, its left spine computes into ``dest``.
+
+    ``dest`` must not overlap anything the expression reads.  Each spine
+    operation whose result already has ``dest``'s shape writes there, so
+    the spine's final value is ``dest`` itself unless its operands were
+    all scalars.
+    """
+    args = (arrays, scalars, env, loop_lo, loop_hi, loop_step)
+    if dest is not None and isinstance(expr.lhs, Bin):
+        lhs = _eval_bin(expr.lhs, *args, dest=dest)
+    else:
+        lhs = eval_expr(expr.lhs, *args)
+    rhs = eval_expr(expr.rhs, *args)
+    op, ufunc = _BIN_OPS[expr.op]
+    if (
+        dest is not None
+        and (isinstance(lhs, np.ndarray) or isinstance(rhs, np.ndarray))
+        and dest.shape == np.broadcast_shapes(dest.shape, np.shape(lhs), np.shape(rhs))
+    ):
+        return ufunc(lhs, rhs, out=dest)
+    if isinstance(expr.lhs, _FRESH) and _has_result_shape(lhs, rhs):
+        return ufunc(lhs, rhs, out=lhs)
+    if isinstance(expr.rhs, _FRESH) and _has_result_shape(rhs, lhs):
+        return ufunc(lhs, rhs, out=rhs)
+    return op(lhs, rhs)
+
+
 def loop_bounds(stmt: ParallelAssign | Reduce, env: Env) -> tuple[int, int, int]:
     """Concrete inclusive loop bounds + step; hi < lo when empty."""
     if stmt.loop is None:
@@ -175,13 +209,25 @@ def loop_bounds(stmt: ParallelAssign | Reduce, env: Env) -> tuple[int, int, int]
 def eval_parallel_assign(
     stmt: ParallelAssign, arrays: Arrays, scalars: Scalars, env: Env
 ) -> None:
-    """Execute the full loop (all processors' work) in one step."""
+    """Execute the full loop (all processors' work) in one step.
+
+    A right-hand side that never reads the destination array evaluates
+    into it directly (see :func:`_eval_bin`); if it then raises, the
+    destination may be left partly written.
+    """
     lo, hi, step = loop_bounds(stmt, env)
     if hi < lo:
         return
+    target = stmt.lhs.array
+    if isinstance(stmt.rhs, Bin) and all(r.array != target for r in stmt.rhs.refs()):
+        dest = arrays[target][_ref_key(stmt.lhs, arrays, env, lo, hi, step)]
+        value = _eval_bin(stmt.rhs, arrays, scalars, env, lo, hi, step, dest=dest)
+        if value is not dest:
+            dest[...] = value
+        return
     value = eval_expr(stmt.rhs, arrays, scalars, env, lo, hi, step)
     key = _ref_key(stmt.lhs, arrays, env, lo, hi, step)
-    arrays[stmt.lhs.array][key] = value
+    arrays[target][key] = value
 
 
 def eval_reduce(stmt: Reduce, arrays: Arrays, scalars: Scalars, env: Env) -> float:

@@ -15,10 +15,14 @@ Four backends, matching the paper's evaluation matrix:
     speedup denominator.
 
 Numerics are evaluated once per program per process:
-:func:`repro.runtime.phases.evaluate` runs every statement as vectorized
-NumPy against a single backing store and memoizes the read-only result on
-the Program, and every backend reports those arrays — so all backends
-produce identical numerics by construction.  Execution is then two-pass:
+:func:`repro.runtime.phases.start_evaluation` runs every statement as
+vectorized NumPy against a single backing store and memoizes the read-only
+result on the Program, and every backend reports those arrays — so all
+backends produce identical numerics by construction.  The evaluation runs
+on a background thread, concurrently with the simulation below (which
+never reads a value), and a backend joins it only when it builds its
+:class:`RunResult`; while any evaluation is in flight the interpreter's
+switch interval is lowered to 1 ms.  Execution is then two-pass:
 a numerics-free *functional* pass walks the program in order, emitting
 per-node access traces; a *timing* pass replays those traces as node
 processes against the discrete-event cluster, where the protocol state

@@ -14,7 +14,7 @@ written section to its owner after the loop.
 from __future__ import annotations
 
 from repro.hpf.ast import ParallelAssign, Program, Reduce, ScalarAssign
-from repro.runtime.phases import ProgramAnalysis, evaluate, walk_phases
+from repro.runtime.phases import ProgramAnalysis, start_evaluation, walk_phases
 from repro.runtime.results import RunResult
 from repro.runtime.shmem import allocate_segment
 from repro.runtime.traces import NodeTrace, replay
@@ -27,7 +27,7 @@ __all__ = ["run_msgpass"]
 
 def run_msgpass(program: Program, config: ClusterConfig | None = None) -> RunResult:
     config = config or ClusterConfig()
-    arrays, scalars = evaluate(program)
+    evaluation = start_evaluation(program)  # joined for the result
     # A shared segment is still allocated (the nodes' memories), but no
     # coherence traffic ever touches it — data moves by explicit messages.
     mem = allocate_segment(program.arrays.values(), config, HomePolicy.ALIGNED)
@@ -94,6 +94,7 @@ def run_msgpass(program: Program, config: ClusterConfig | None = None) -> RunRes
 
     cluster = Cluster(config, mem)
     stats = cluster.run({n: replay(cluster, n, traces[n].ops) for n in range(config.n_nodes)})
+    arrays, scalars = evaluation.result()
     return RunResult(
         program.name,
         "msgpass",

@@ -23,7 +23,9 @@ Execution is split into an explicit *build* phase and an *execute* phase:
     compiler analysis and planner over the numerics-free phase walk, and
     reduces everything to a :class:`ShmemPlan`: per-node op traces plus
     the final arrays/scalars, taken from the program's one shared
-    evaluation (:func:`repro.runtime.phases.evaluate`).  The plan
+    evaluation (:func:`repro.runtime.phases.start_evaluation`), which
+    runs on a background thread meanwhile and is joined only when a
+    result is built or the plan is pickled.  The plan
     depends only on the program and the *geometry* half of the config
     (node count, block/page sizes, compute-cost model) — never on the
     fault, combining or switch configuration — and is a plain picklable
@@ -47,7 +49,7 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.core.blocks import section_blocks
+from repro.core.blocks import section_blocks, union_blocks
 from repro.core.calls import (
     FlushBlocks,
     ImplicitInvalidate,
@@ -62,7 +64,12 @@ from repro.core.contract import check_plan
 from repro.core.planner import CommPlan, plan_loop
 from repro.core.pre import AvailabilityTracker
 from repro.hpf.ast import ArrayDecl, ParallelAssign, Program, Reduce, ScalarAssign
-from repro.runtime.phases import PhaseRecord, ProgramAnalysis, evaluate, walk_phases
+from repro.runtime.phases import (
+    PhaseRecord,
+    ProgramAnalysis,
+    start_evaluation,
+    walk_phases,
+)
 from repro.runtime.results import RunResult
 from repro.runtime.traces import NodeTrace, replay
 from repro.tempest.cluster import Cluster
@@ -143,13 +150,7 @@ def _phase_blocks(mem: SharedMemory, sections) -> np.ndarray:
     pieces = [
         section_blocks(mem.arrays[a], sec) for a, sec in sections if a in mem.arrays
     ]
-    pieces = [p for p in pieces if len(p)]
-    if not pieces:
-        out = np.empty(0, dtype=np.int64)
-    elif len(pieces) == 1:
-        out = pieces[0]
-    else:
-        out = np.unique(np.concatenate(pieces))
+    out = union_blocks([p for p in pieces if len(p)])
     cache[id(sections)] = (sections, out)
     return out
 
@@ -234,6 +235,12 @@ class ShmemPlan:
     inputs needed to validate reuse.  It contains no engine, cluster or
     generator state, so it pickles cleanly — ``repro.serve`` content-
     addresses plans on disk and replays one plan under many wire configs.
+
+    A freshly built plan's numerics may still be evaluating on a
+    background thread: ``arrays``/``scalars`` are ``None`` until
+    :meth:`numerics` joins that evaluation, which happens when a result
+    is built or the plan is pickled, so a pickled plan always carries
+    concrete numerics and never the evaluation.
     """
 
     program_name: str
@@ -244,9 +251,9 @@ class ShmemPlan:
     traces: list[list[tuple]]
     #: the program's evaluated final arrays, read-only and shared with
     #: every other backend (the simulation never touches data, so these
-    #: ARE the run's numerics)
-    arrays: dict[str, np.ndarray]
-    scalars: dict[str, float]
+    #: ARE the run's numerics); None until joined (see :meth:`numerics`)
+    arrays: dict[str, np.ndarray] | None
+    scalars: dict[str, float] | None
     #: geometry fields (see :func:`trace_geometry`) the plan was built under
     geometry: dict
     # build options
@@ -260,6 +267,18 @@ class ShmemPlan:
     plans_built: int = 0
     controlled_blocks: int = 0
     tracker_stats: dict | None = None
+
+    def numerics(self) -> tuple[dict[str, np.ndarray], dict[str, float]]:
+        """``(arrays, scalars)``, joining a pending evaluation first."""
+        pending = self.__dict__.get("_pending")
+        if pending is not None:
+            self.arrays, self.scalars = pending.result()
+            del self._pending
+        return self.arrays, self.scalars
+
+    def __getstate__(self) -> dict:
+        self.numerics()
+        return self.__dict__
 
 
 def _check_optimizer_options(
@@ -294,7 +313,7 @@ def build_shmem_plan(
     """
     config = config or ClusterConfig()
     _check_optimizer_options(optimize, rt_elim, pre, advisory, "invalidate")
-    arrays, scalars = evaluate(program)
+    evaluation = start_evaluation(program)  # runs while the plan builds
     mem = allocate_segment(program.arrays.values(), config, home_policy)
     analysis = ProgramAnalysis(program, config.n_nodes)
     traces = [NodeTrace(n) for n in range(config.n_nodes)]
@@ -399,12 +418,12 @@ def build_shmem_plan(
             t.inv(leftovers.tolist())
             t.barrier()
 
-    return ShmemPlan(
+    plan = ShmemPlan(
         program_name=program.name,
         array_decls=tuple(program.arrays.values()),
         traces=[t.ops for t in traces],
-        arrays=arrays,
-        scalars=scalars,
+        arrays=None,
+        scalars=None,
         geometry=trace_geometry(config),
         optimize=optimize,
         bulk=bulk,
@@ -416,6 +435,8 @@ def build_shmem_plan(
         controlled_blocks=controlled_blocks,
         tracker_stats=tracker.stats() if tracker is not None else None,
     )
+    plan._pending = evaluation
+    return plan
 
 
 def _readonly(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -549,13 +570,14 @@ def execute_shmem_plan(
         )
         if plan.tracker_stats is not None:
             extra.update(plan.tracker_stats)
+    arrays, scalars = plan.numerics()
     return RunResult(
         plan.program_name,
         backend,
         stats.elapsed_ns,
         stats,
-        _readonly(plan.arrays),
-        dict(plan.scalars),
+        _readonly(arrays),
+        dict(scalars),
         extra,
         completed=stats.completed,
         phase_breakdown=profiler.breakdown() if profiler is not None else None,

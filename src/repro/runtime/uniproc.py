@@ -1,7 +1,8 @@
 """Uniprocessor reference run — the speedup denominator.
 
 Takes the program's numerics from the shared evaluation
-(:func:`repro.runtime.phases.evaluate`) and charges the full single-processor
+(:func:`repro.runtime.phases.start_evaluation`, joined when the result is
+built) and charges the full single-processor
 compute-model cost with zero communication, matching the paper's
 "speedups are calculated relative to a uniprocessor run".  (The paper's
 uniprocessor baselines are *not* cache-blocked, which is where its
@@ -12,7 +13,7 @@ speedup ceilings equal the node count — see DESIGN.md.)
 from __future__ import annotations
 
 from repro.hpf.ast import Program
-from repro.runtime.phases import ProgramAnalysis, evaluate, walk_phases
+from repro.runtime.phases import ProgramAnalysis, start_evaluation, walk_phases
 from repro.runtime.results import RunResult
 from repro.tempest.config import ClusterConfig
 
@@ -21,7 +22,7 @@ __all__ = ["run_uniproc"]
 
 def run_uniproc(program: Program, config: ClusterConfig | None = None) -> RunResult:
     config = config or ClusterConfig()
-    arrays, scalars = evaluate(program)
+    evaluation = start_evaluation(program)
     # The time is the 1-proc compute model alone: no communication.
     total_ns = 0
     phases = 0
@@ -30,6 +31,7 @@ def run_uniproc(program: Program, config: ClusterConfig | None = None) -> RunRes
         total_ns += rec.compute_units(0) * config.compute_ns_per_unit
         if rec.kind != "scalar":
             total_ns += config.loop_overhead_ns
+    arrays, scalars = evaluation.result()
     return RunResult(
         program.name, "uniproc", total_ns, None, arrays, scalars, {"phases": phases}
     )

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.blocks import section_blocks, section_byte_runs, shmem_limits
+from repro.core.blocks import (
+    section_blocks,
+    section_byte_runs,
+    shmem_limits,
+    union_blocks,
+)
 from repro.core.sections import Section, StridedInterval
 from repro.tempest import ClusterConfig, Distribution, SharedMemory
 
@@ -164,3 +169,20 @@ class TestShmemLimits:
         for b in inner:
             lo, hi = b * 64, (b + 1) * 64
             assert any(rlo <= lo and hi <= rhi for rlo, rhi in runs)
+
+
+class TestUnionBlocks:
+    def test_single_piece_returned_as_is(self):
+        piece = np.arange(3, 7)
+        assert union_blocks([piece]) is piece
+
+    def test_no_pieces(self):
+        assert union_blocks([]).dtype == np.int64 and not len(union_blocks([]))
+
+    def test_ordered_pieces_drop_shared_boundary_blocks(self):
+        pieces = [np.arange(0, 3), np.arange(2, 5), np.arange(4, 5), np.arange(9, 11)]
+        np.testing.assert_array_equal(union_blocks(pieces), [0, 1, 2, 3, 4, 9, 10])
+
+    def test_out_of_order_pieces(self):
+        pieces = [np.arange(9, 11), np.arange(0, 3), np.arange(2, 5)]
+        np.testing.assert_array_equal(union_blocks(pieces), [0, 1, 2, 3, 4, 9, 10])

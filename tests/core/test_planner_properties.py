@@ -21,7 +21,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.access import analyze_loop
-from repro.core.blocks import section_blocks, section_byte_runs
+from repro.core.blocks import (
+    section_blocks,
+    section_byte_runs,
+    shmem_limits,
+    union_blocks,
+)
 from repro.core.calls import (
     ImplicitInvalidate,
     MkWritable,
@@ -31,7 +36,7 @@ from repro.core.calls import (
 from repro.core.contract import check_plan
 from repro.core.planner import PlanError, plan_loop
 from repro.hpf.dsl import I, ProgramBuilder, S
-from repro.runtime.shmem import allocate_segment
+from repro.runtime.shmem import _phase_blocks, allocate_segment
 from repro.tempest.config import ClusterConfig
 from repro.tempest.memory import HomePolicy
 
@@ -151,3 +156,38 @@ def test_bulk_and_nonbulk_cover_same_blocks(geom):
     c1 = {d: set(b.tolist()) for d, b in p1.controlled.items()}
     c2 = {d: set(b.tolist()) for d, b in p2.controlled.items()}
     assert c1 == c2
+
+
+def _unique(pieces):
+    return np.unique(np.concatenate(pieces)) if pieces else np.empty(0, np.int64)
+
+
+@given(geom=geometries())
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_block_unions_equal_np_unique(geom):
+    """The linear block-set unions agree with ``np.unique`` exactly."""
+    prog, cfg, mem, inst = build_case(*geom)
+    bs = cfg.block_size
+    for p in range(cfg.n_nodes):
+        for sections in (inst.reads[p], inst.writes[p], inst.non_owner_reads[p]):
+            pieces = []
+            for aname, sec in sections:
+                arr = mem.arrays[aname]
+                runs = section_byte_runs(arr, sec)
+                touched = [np.arange(lo // bs, (hi - 1) // bs + 1) for lo, hi in runs]
+                inner = [np.arange(-(-lo // bs), hi // bs)
+                         for lo, hi in runs if hi // bs > -(-lo // bs)]
+                got = section_blocks(arr, sec)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, _unique(touched))
+                controlled, boundary = shmem_limits(arr, sec)
+                assert np.array_equal(controlled, _unique(inner))
+                assert np.array_equal(
+                    boundary, np.setdiff1d(_unique(touched), _unique(inner))
+                )
+                if len(got):
+                    pieces.append(got)
+            assert np.array_equal(_phase_blocks(mem, sections), _unique(pieces))
+            # out-of-order pieces take the np.unique fallback
+            assert np.array_equal(union_blocks(pieces[::-1]), _unique(pieces))

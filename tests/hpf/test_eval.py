@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.hpf.eval as hpf_eval
 from repro.core.symbolic import Sym
 from repro.hpf.dsl import ABS, I, ProgramBuilder, S, sqrt
 from repro.hpf.eval import (
@@ -160,6 +161,62 @@ class TestInPlaceTemporaries:
         got = eval_expr(expr, {"a": A}, {}, {"k": 1}, 2, 5)
         assert got.shape == (4, 4)
         assert got.tobytes() == ((A[2:6, 1:2] * 2.0) * A[1:2, 2:6]).tobytes()
+
+
+class TestIntoDestination:
+    """A right-hand side that never reads its destination computes into it."""
+
+    @staticmethod
+    def routed(monkeypatch):
+        """The ``dest`` each top-level ``_eval_bin`` call received."""
+        seen = []
+        orig = hpf_eval._eval_bin
+
+        def spy(expr, *args, dest=None, **kwargs):
+            seen.append(dest)
+            return orig(expr, *args, dest=dest, **kwargs)
+
+        monkeypatch.setattr(hpf_eval, "_eval_bin", spy)
+        return seen
+
+    def test_stencil_into_destination_bitwise_equal(self, monkeypatch):
+        b = ProgramBuilder("p")
+        u = b.array("u", (8, 8))
+        v = b.array("v", (8, 8))
+        stmt = b.forall(
+            1, 6, v[S(1, 6), I],
+            (u[S(0, 5), I] + u[S(2, 7), I] + u[S(1, 6), I - 1]) * 0.25 - 1.0,
+        )
+        U, V = farray(8, 8), farray(8, 8)
+        want = V.copy()
+        want[1:7, 1:7] = (U[0:6, 1:7] + U[2:8, 1:7] + U[1:7, 0:6]) * 0.25 - 1.0
+        seen = self.routed(monkeypatch)
+        eval_parallel_assign(stmt, {"u": U, "v": V}, {}, {})
+        assert seen[0] is not None and np.shares_memory(seen[0], V)
+        assert V.tobytes() == want.tobytes()
+
+    def test_self_reading_statement_keeps_the_temporary(self, monkeypatch):
+        b = ProgramBuilder("p")
+        u = b.array("u", (8, 8))
+        stmt = b.forall(
+            1, 6, u[S(0, 7), I],
+            (u[S(0, 7), I - 1] + u[S(0, 7), I + 1]) * 0.5 + u[S(0, 7), I],
+        )
+        U = farray(8, 8)
+        want = U.copy()
+        want[:, 1:7] = (U[:, 0:6] + U[:, 2:8]) * 0.5 + U[:, 1:7]
+        seen = self.routed(monkeypatch)
+        eval_parallel_assign(stmt, {"u": U}, {}, {})
+        assert seen[0] is None
+        assert U.tobytes() == want.tobytes()
+
+    def test_scalar_only_rhs_fills_the_destination(self):
+        b = ProgramBuilder("p")
+        v = b.array("v", (4, 4))
+        stmt = b.forall(0, 3, v[S(0, 3), I], b.scalar_decl("c", 1.5) * 2.0 + 1.0)
+        V = np.zeros((4, 4), order="F")
+        eval_parallel_assign(stmt, {"v": V}, {"c": 1.5}, {})
+        assert (V == 4.0).all()
 
 
 class TestEvalReduce:

@@ -162,3 +162,19 @@ def test_reference_check_catches_a_broken_evaluator(monkeypatch):
     monkeypatch.setitem(hpf_eval._BIN_OPS, "+", (operator.sub, np.subtract))
     with pytest.raises(AssertionError):
         assert_matches_reference(_fixed_program())
+
+
+def test_self_reading_statements_match_reference():
+    # Right-hand sides that read their own destination array through
+    # shifted views: they must be evaluated into a temporary before the
+    # assignment lands, or later terms would read already-written values.
+    b = ProgramBuilder("alias")
+    u = b.array("u", (8, 16), init=lambda shape: np.arange(128.0).reshape(shape) % 7)
+    v = b.array("v", (8, 16), init=lambda shape: np.ones(shape))
+    with b.timesteps(2):
+        b.forall(1, 14, u[S(0, 7), I],
+                 (u[S(0, 7), I - 1] + u[S(0, 7), I + 1]) * 0.5 + u[S(0, 7), I])
+        b.forall(1, 14, u[S(0, 7), I],
+                 v[S(0, 7), I] * 0.25 + u[S(0, 7), I - 1] + u[S(0, 7), I + 1])
+        b.forall(1, 14, v[S(0, 7), I], u[S(0, 7), I - 1] * 0.5 + u[S(0, 7), I])
+    assert_matches_reference(b.build())

@@ -140,6 +140,40 @@ class TestRunResult:
         with pytest.raises(AssertionError, match="scalar"):
             self._result().assert_same_numerics(other)
 
+    def test_one_shared_buffer_is_equal_without_reading_it(self, monkeypatch):
+        buf = np.arange(4.0)
+        buf.flags.writeable = False
+        view = buf.view()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the shared buffer was compared elementwise")
+
+        monkeypatch.setattr(np.testing, "assert_allclose", refuse)
+        self._result(arrays={"a": buf}).assert_same_numerics(
+            self._result(arrays={"a": view})
+        )
+
+    def test_perturbed_distinct_copy_still_raises(self):
+        buf = np.arange(4.0)
+        copy = buf.copy()
+        copy[2] += 1e-3
+        with pytest.raises(AssertionError, match="array 'a'"):
+            self._result(arrays={"a": buf}).assert_same_numerics(
+                self._result(arrays={"a": copy})
+            )
+
+    @pytest.mark.parametrize(
+        "other",
+        [lambda buf: buf[1:5], lambda buf: buf[::2][:4], lambda buf: buf[:4][::-1]],
+        ids=["offset", "strides", "reversed"],
+    )
+    def test_different_views_of_one_buffer_still_raise(self, other):
+        buf = np.arange(8.0)
+        with pytest.raises(AssertionError, match="array 'a'"):
+            self._result(arrays={"a": buf[:4]}).assert_same_numerics(
+                self._result(arrays={"a": other(buf)})
+            )
+
     def test_summary_flat_dict(self):
         s = self._result().summary()
         assert s["backend"] == "shmem" and s["elapsed_ms"] == 1.0
