@@ -26,31 +26,32 @@ Public surface:
 See ``docs/serve.md`` for the cache-key contract and invalidation rules.
 """
 
-from repro.serve.compare import assert_results_equal, results_equal
-from repro.serve.keys import (
-    CODE_VERSION,
-    canonical,
-    fingerprint,
-    plan_key,
-    program_fingerprint,
-    request_key,
-)
-from repro.serve.request import RunRequest
-from repro.serve.runner import ServeResult, ServeSession, execute_request
-from repro.serve.store import ResultStore
+import importlib
 
-__all__ = [
-    "CODE_VERSION",
-    "ResultStore",
-    "RunRequest",
-    "ServeResult",
-    "ServeSession",
-    "assert_results_equal",
-    "canonical",
-    "execute_request",
-    "fingerprint",
-    "plan_key",
-    "program_fingerprint",
-    "request_key",
-    "results_equal",
-]
+#: public name -> the submodule that defines it.  Loaded on first use, so
+#: importing the option table (``repro.serve.matrix``, which the run CLI
+#: needs at start-up) does not also load the process pool, the store and
+#: the key machinery.
+_EXPORTS = {
+    "assert_results_equal": "compare",
+    "results_equal": "compare",
+    "CODE_VERSION": "keys",
+    "canonical": "keys",
+    "fingerprint": "keys",
+    "plan_key": "keys",
+    "program_fingerprint": "keys",
+    "request_key": "keys",
+    "RunRequest": "request",
+    "ServeResult": "runner",
+    "ServeSession": "runner",
+    "execute_request": "runner",
+    "ResultStore": "store",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)

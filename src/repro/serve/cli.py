@@ -43,13 +43,28 @@ import time
 from typing import Sequence
 
 from repro.apps import APPS
-from repro.tempest.config import ClusterConfig
 
 from repro.serve.compare import diff_breakdowns, render_diff, results_equal
-from repro.serve.matrix import AXES, cell_label, expand_matrix, parse_axis_specs
+from repro.serve.matrix import (AXES, add_options, cell_label, expand_matrix,
+                                parse_axis_specs, request_from_args)
+from repro.serve.request import RunRequest
 from repro.serve.runner import ServeSession, execute_request
 
 __all__ = ["build_diff_parser", "build_sweep_parser", "diff_main", "sweep_main"]
+
+
+def _serve_parent(**help: str) -> argparse.ArgumentParser:
+    """The flags ``repro sweep`` and ``repro diff`` share; ``help`` words
+    the ones whose text differs between the two commands."""
+    p = argparse.ArgumentParser(add_help=False)
+    add_options(p, ("scale", "nodes"), nodes=help["nodes"])
+    p.add_argument("--jobs", type=int, default=1, metavar="N",
+                   help="worker processes (default 1: serial in-process)")
+    p.add_argument("--cache-dir", default=None, metavar="DIR",
+                   help=help["cache_dir"])
+    p.add_argument("--no-cache", action="store_true", help=help["no_cache"])
+    p.add_argument("--json", default=None, metavar="FILE", help=help["json"])
+    return p
 
 
 def build_sweep_parser() -> argparse.ArgumentParser:
@@ -58,25 +73,19 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         description="Run a (apps x axes) config matrix with caching and "
         "parallel workers; every cell is bit-identical to a "
         "serial in-process run.",
+        parents=[_serve_parent(
+            nodes="cluster size for every cell (the 'nodes' axis overrides this "
+                  "per cell)",
+            cache_dir="persistent result/plan cache directory (default: no disk "
+                      "cache)",
+            no_cache="ignore --cache-dir: compute every cell",
+            json="write the results table as JSON")],
     )
     p.add_argument("apps", nargs="+", choices=sorted(APPS),
                    help="applications to sweep")
     p.add_argument("--axis", action="append", default=[],
                    metavar="NAME=V1,V2,...",
                    help=f"one matrix axis (repeatable); axes: {sorted(AXES)}")
-    p.add_argument("--scale", choices=["default", "paper"], default="default")
-    p.add_argument("--nodes", type=int, default=8,
-                   help="cluster size for every cell (the 'nodes' axis "
-                        "overrides this per cell)")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker processes (default 1: serial in-process)")
-    p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="persistent result/plan cache directory "
-                        "(default: no disk cache)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="ignore --cache-dir: compute every cell")
-    p.add_argument("--json", default=None, metavar="FILE",
-                   help="write the results table as JSON")
     p.add_argument("--check-serial", action="store_true",
                    help="re-run every cell serially in-process and require "
                         "exact RunResult equality (correctness harness; "
@@ -157,15 +166,20 @@ def _table(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
+def _sweep_requests(args: argparse.Namespace) -> list[RunRequest]:
+    """The cells of a parsed ``repro sweep`` command line."""
+    base = request_from_args(args.apps[0], args)
+    return expand_matrix(args.apps, parse_axis_specs(args.axis),
+                         scale=base.scale, base_config=base.config)
+
+
 def sweep_main(argv: Sequence[str] | None = None) -> int:
     parser = build_sweep_parser()
     args = parser.parse_args(argv)
     try:
-        axes = parse_axis_specs(args.axis)
+        requests = _sweep_requests(args)
     except ValueError as e:
         parser.error(str(e))
-    base = ClusterConfig(n_nodes=args.nodes)
-    requests = expand_matrix(args.apps, axes, scale=args.scale, base_config=base)
     cache_dir = None if args.no_cache else args.cache_dir
     print(
         f"sweep: {len(args.apps)} app(s) x {max(1, len(requests) // max(1, len(args.apps)))} "
@@ -258,6 +272,13 @@ def build_diff_parser() -> argparse.ArgumentParser:
         "critical-path analysis, align their decompositions, "
         "and name the cost classes / nodes / phases that "
         "account for the elapsed-time delta.",
+        parents=[_serve_parent(
+            nodes="cluster size for both cells (a 'nodes=' setting in a cell spec "
+                  "overrides this)",
+            cache_dir="persistent result/plan cache directory — point at a "
+                      "sweep's cache to diff cached cells without recomputing",
+            no_cache="ignore --cache-dir: compute both cells",
+            json="write the structured diff as JSON")],
     )
     p.add_argument("app", choices=sorted(APPS), help="application to diff")
     p.add_argument("cell_a", metavar="CELL_A",
@@ -265,24 +286,10 @@ def build_diff_parser() -> argparse.ArgumentParser:
                         "(e.g. 'combine=off,drop=0'); '-' means all defaults")
     p.add_argument("cell_b", metavar="CELL_B",
                    help="run B, same syntax as CELL_A")
-    p.add_argument("--scale", choices=["default", "paper"], default="default")
-    p.add_argument("--nodes", type=int, default=8,
-                   help="cluster size for both cells (a 'nodes=' setting "
-                        "in a cell spec overrides this)")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker processes (default 1: serial in-process)")
-    p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="persistent result/plan cache directory — point at "
-                        "a sweep's cache to diff cached cells without "
-                        "recomputing")
-    p.add_argument("--no-cache", action="store_true",
-                   help="ignore --cache-dir: compute both cells")
-    p.add_argument("--json", default=None, metavar="FILE",
-                   help="write the structured diff as JSON")
     return p
 
 
-def _diff_request(app: str, spec: str, scale: str, base: ClusterConfig):
+def _diff_request(base: RunRequest, spec: str) -> RunRequest:
     """One cell spec ('axis=value,axis=value' or '-') -> one RunRequest.
 
     Profiling + critical path are forced on (so the decompositions exist
@@ -290,24 +297,20 @@ def _diff_request(app: str, spec: str, scale: str, base: ClusterConfig):
     identical to a ``profile=on`` sweep axis, so sweep caches warm-hit.
     """
     parts = [] if spec in ("-", "") else [s for s in spec.split(",") if s]
-    axes = parse_axis_specs(parts)
-    for name, values in axes.items():
-        if len(values) != 1:
-            raise ValueError(
-                f"cell spec {spec!r}: axis {name!r} must have exactly one value"
-            )
+    axes = parse_axis_specs(parts)  # one value each: commas split settings
     axes.setdefault("profile", [True])
-    (request,) = expand_matrix([app], axes, scale=scale, base_config=base)
+    (request,) = expand_matrix([base.app], axes, scale=base.scale,
+                               base_config=base.config)
     return request
 
 
 def diff_main(argv: Sequence[str] | None = None) -> int:
     parser = build_diff_parser()
     args = parser.parse_args(argv)
-    base = ClusterConfig(n_nodes=args.nodes)
     try:
-        req_a = _diff_request(args.app, args.cell_a, args.scale, base)
-        req_b = _diff_request(args.app, args.cell_b, args.scale, base)
+        base = request_from_args(args.app, args)
+        req_a = _diff_request(base, args.cell_a)
+        req_b = _diff_request(base, args.cell_b)
     except ValueError as e:
         parser.error(str(e))
     cache_dir = None if args.no_cache else args.cache_dir

@@ -7,16 +7,17 @@ The key contract (see docs/serve.md for the full rules):
   initial array contents), the full :class:`ClusterConfig` (including the
   fault seed, per-link overlays, partition windows and crash scenarios),
   the run options (backend, optimize/bulk/rt_elim/pre/advisory, protocol,
-  home policy, audit settings), and a *code-version salt*.
+  home policy, audit settings), and a *code-version salt* — a digest of
+  the simulator's own source.
 * Canonicalization is semantic, not syntactic: dict/field ordering,
   default-vs-explicit config values, and overlay tuple ordering all
   collapse to one encoding — requests that mean the same run share a key.
 * Anything that does NOT influence the result — the app registry name,
   host, worker count, cache settings — is excluded, so two spellings of
   the same program (app name vs inline AST) also share a key.
-* Bumping :data:`CODE_VERSION` invalidates every existing entry at once;
-  do that whenever a change makes old cached results stale (cost model,
-  protocol, planner, stats layout).
+* Any edit to any ``.py`` file of the ``repro`` package changes
+  :data:`CODE_VERSION` and so invalidates every existing entry at once;
+  no one has to remember to bump anything.
 
 Nothing here uses Python's randomized ``hash()``; keys are stable across
 processes, machines and interpreter restarts.
@@ -28,6 +29,7 @@ import dataclasses
 import enum
 import hashlib
 import json
+from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -47,11 +49,21 @@ __all__ = [
     "request_key",
 ]
 
-#: The code-version salt.  Bump the integer whenever simulation results
-#: change for identical inputs (cost-model retune, protocol fix, stats
-#: schema change): every cached entry is invalidated in one stroke, no
+def source_digest(root: Path) -> str:
+    """SHA-256 over every ``*.py`` under ``root``: each file's relative
+    path and bytes, in sorted path order."""
+    h = hashlib.sha256()
+    files = sorted((p.relative_to(root).as_posix(), p) for p in root.rglob("*.py"))
+    for rel, path in files:
+        h.update(rel.encode() + b"\0" + path.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+#: The code-version salt: the digest of the installed ``repro`` package,
+#: computed once per process (pool workers get it as an argument).  A
+#: change to any source file orphans every cached entry in one stroke, no
 #: cache deletion required.
-CODE_VERSION = "repro-serve/3"  # /3: RunResult gains critical_path (PR 10)
+CODE_VERSION = source_digest(Path(__file__).resolve().parents[1])
 
 
 # --------------------------------------------------------------------- #

@@ -22,6 +22,12 @@ __all__ = ["BACKENDS", "RunRequest"]
 
 BACKENDS = ("shmem", "uniproc", "msgpass")
 
+#: run_shmem's options, split at its plan-build / replay seam
+_BUILD_OPTIONS = ("optimize", "bulk", "rt_elim", "pre", "advisory", "home_policy",
+                  "check_contracts")
+_EXECUTE_OPTIONS = ("protocol", "audit", "audit_each_barrier", "audit_sample_prob",
+                    "profile_phases", "critical_path")
+
 
 @dataclass(frozen=True)
 class RunRequest:
@@ -59,11 +65,8 @@ class RunRequest:
             raise ValueError(
                 f"unknown backend {self.backend!r}; choose from {BACKENDS}"
             )
-        if isinstance(self.params, dict):
-            # Accept a dict at construction; store the hashable spelling.
-            object.__setattr__(self, "params", tuple(sorted(self.params.items())))
-        else:
-            object.__setattr__(self, "params", tuple(sorted(self.params)))
+        # Accept a dict or pairs at construction; store the hashable spelling.
+        object.__setattr__(self, "params", tuple(sorted(dict(self.params).items())))
 
     # ------------------------------------------------------------------ #
     def build_program(self) -> Program:
@@ -90,34 +93,16 @@ class RunRequest:
         if self.backend != "shmem":
             # uniproc/msgpass take only (program, config).
             return {}
-        return {
-            "optimize": self.optimize,
-            "bulk": self.bulk,
-            "rt_elim": self.rt_elim,
-            "pre": self.pre,
-            "advisory": self.advisory,
-            "home_policy": self.home_policy,
-            "check_contracts": self.check_contracts,
-            "protocol": self.protocol,
-            "audit": self.audit,
-            "audit_each_barrier": self.audit_each_barrier,
-            "audit_sample_prob": self.audit_sample_prob,
-            "profile_phases": self.profile_phases,
-            "critical_path": self.critical_path,
-        }
+        return {**self.build_options(), **self.execute_options()}
 
     def build_options(self) -> dict:
         """The subset of options the *functional pass* depends on — these
         key the memoized ShmemPlan (see :func:`repro.serve.keys.plan_key`)."""
-        return {
-            "optimize": self.optimize,
-            "bulk": self.bulk,
-            "rt_elim": self.rt_elim,
-            "pre": self.pre,
-            "advisory": self.advisory,
-            "home_policy": self.home_policy,
-            "check_contracts": self.check_contracts,
-        }
+        return {name: getattr(self, name) for name in _BUILD_OPTIONS}
+
+    def execute_options(self) -> dict:
+        """The rest: the timing replay's (``execute_shmem_plan``'s) options."""
+        return {name: getattr(self, name) for name in _EXECUTE_OPTIONS}
 
     # ------------------------------------------------------------------ #
     def label(self) -> str:

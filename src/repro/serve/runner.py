@@ -19,7 +19,6 @@ what they compute, so warm-cache hit rates hold across processes.
 
 from __future__ import annotations
 
-import asyncio
 from collections import OrderedDict
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -121,16 +120,7 @@ def execute_request(
     if plan_cache is None:
         plan_cache = PlanCache(store=None)
     plan = plan_cache.get_or_build(request, salt)
-    return execute_shmem_plan(
-        plan,
-        request.config,
-        protocol=request.protocol,
-        audit=request.audit,
-        audit_each_barrier=request.audit_each_barrier,
-        audit_sample_prob=request.audit_sample_prob,
-        profile_phases=request.profile_phases,
-        critical_path=request.critical_path,
-    )
+    return execute_shmem_plan(plan, request.config, **request.execute_options())
 
 
 # --------------------------------------------------------------------- #
@@ -302,6 +292,8 @@ class ServeSession:
 
     async def gather(self, requests) -> list[ServeResult]:
         """Async batch: submit everything, await all, preserve order."""
+        import asyncio  # here: slow to import, and only this method needs it
+
         futures = [
             asyncio.wrap_future(self.submit(r)) for r in requests
         ]

@@ -261,15 +261,28 @@ class TestCanonical:
 # code-version salt rollover
 # --------------------------------------------------------------------- #
 class TestSaltRollover:
-    """The engine rewrite (PR 9) bumped CODE_VERSION: entries cached under
-    the previous salt must be unreachable under the current one."""
+    """The salt is a digest of the package source: any edit to it must
+    change the salt, and entries cached under an older salt must be
+    unreachable under the current one."""
 
-    OLD_SALT = "repro-serve/1"
+    OLD_SALT = "repro-serve/3"  # the last hand-bumped salt
 
-    def test_salt_was_bumped(self):
-        from repro.serve.keys import CODE_VERSION
+    def test_one_changed_byte_changes_salt(self, tmp_path):
+        import shutil
+        from pathlib import Path
 
-        assert CODE_VERSION != self.OLD_SALT
+        import repro
+        from repro.serve.keys import CODE_VERSION, source_digest
+
+        tree = tmp_path / "repro"
+        shutil.copytree(Path(repro.__file__).parent, tree,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        assert source_digest(tree) == CODE_VERSION
+        target = tree / "tempest" / "config.py"
+        data = bytearray(target.read_bytes())
+        data[len(data) // 2] ^= 1
+        target.write_bytes(bytes(data))
+        assert source_digest(tree) != CODE_VERSION
 
     def test_old_salt_store_yields_zero_hits(self, tmp_path):
         from repro.serve.keys import CODE_VERSION
@@ -281,7 +294,7 @@ class TestSaltRollover:
             jacobi_request(cfg),
             jacobi_request(ClusterConfig(n_nodes=4)),
         ]
-        # Populate the store exactly as a pre-bump build would have.
+        # Populate the store exactly as a build of older source would have.
         for req in requests:
             store.put(
                 ResultStore.RESULTS,

@@ -37,6 +37,21 @@ class TestUsageErrors:
         assert e.value.code == 2
         assert "needs =v1,v2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            (["--axis", "nodes=0"], "axis 'nodes'"),
+            (["--axis", "drop=2"], "axis 'drop'"),
+            (["--axis", "nodes=4", "--axis", "nodes=8"], "axis 'nodes'"),
+            (["--nodes", "0"], "--nodes"),
+        ],
+    )
+    def test_bad_cell_setting_exits_2_naming_it(self, extra, named, capsys):
+        with pytest.raises(SystemExit) as e:
+            sweep_main(["cg", *extra])
+        assert e.value.code == 2
+        assert f"error: {named}" in capsys.readouterr().err
+
     def test_unknown_app_exits_2(self, capsys):
         with pytest.raises(SystemExit) as e:
             sweep_main(["hpl"])

@@ -81,6 +81,27 @@ class TestMain:
         assert "KEY=VAL" in capsys.readouterr().err
 
 
+class TestUserInputErrors:
+    """A bad value exits 2 with a message naming its flag, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--nodes", "0"], "--nodes"),
+            (["--combine-max-msgs", "0"], "--combine-max-msgs"),
+            (["--switch-ports", "0"], "--switch-ports"),
+            (["--param", "n=abc"], "--param"),
+            (["--param", "bogus=3"], "--param"),
+            (["--fault-drop", "2"], "--fault-drop"),
+        ],
+    )
+    def test_exits_2_naming_the_flag(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["jacobi", *argv])
+        assert e.value.code == 2
+        assert f"error: {flag}" in capsys.readouterr().err
+
+
 class TestFaultOverlayParsing:
     def test_link_fault_spec(self):
         lf = _parse_link_fault("0:1:drop=0.3,jitter_us=50")
