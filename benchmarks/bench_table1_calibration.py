@@ -39,7 +39,7 @@ def measure_roundtrip() -> float:
         cl.network.send(1, 0, MsgKind.ACK, on_pong, cfg.send_overhead_ns, payload_bytes=4)
 
     def pinger():
-        yield cl.nodes[0].compute_cpu.serve(cfg.send_overhead_ns)
+        yield cl.nodes[0].compute_cpu.use(cfg.send_overhead_ns)
         cl.network.send(0, 1, MsgKind.ACK, on_ping, 0, payload_bytes=4)
         yield done
 

@@ -68,13 +68,6 @@ class AvailabilityTracker:
         """Blocks node currently keeps under compiler control."""
         return set(self._avail[node])
 
-    def should_invalidate(self, node: int, blocks: np.ndarray | list[int]) -> np.ndarray:
-        """Of a planned invalidation, which blocks must actually be dropped
-        right now?  Under PRE: none — copies are retained; the cleanup pass
-        at region end uses :meth:`drain`."""
-        _ = node, blocks
-        return np.empty(0, dtype=np.int64)
-
     def drop(self, node: int, blocks) -> None:
         """Forget availability of specific blocks at ``node`` (used when a
         retained copy must be invalidated for a demand-read conflict)."""

@@ -191,9 +191,6 @@ class ChromeTraceExporter:
             },
         }
 
-    def to_json(self, indent=None) -> str:
-        return json.dumps(self.to_chrome(), indent=indent)
-
     def write(self, path) -> int:
         """Write the trace to ``path``; returns the retained event count."""
         with open(path, "w", encoding="utf-8") as fh:

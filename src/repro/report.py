@@ -442,20 +442,31 @@ def main(argv: Sequence[str] | None = None) -> int:
     if unknown:
         print(f"unknown apps: {unknown}", file=sys.stderr)
         return 2
+    # Build every config up front, so a bad value is a usage error before
+    # any evaluation runs.
+    try:
+        ClusterConfig(n_nodes=args.nodes)
+    except ValueError as exc:
+        p.error(f"argument --nodes: {exc}")
+    fault_cfg = None
+    if args.fault_drop != 0.0:
+        try:
+            fault_cfg = FaultConfig(
+                drop_prob=args.fault_drop,
+                dup_prob=args.fault_drop / 2,
+                jitter_ns=10 * US,
+                seed=args.fault_seed,
+            )
+        except ValueError as exc:
+            p.error(f"argument --fault-drop: {exc}")
 
     evals = []
     for name in names:
         print(f"evaluating {name} ...", file=sys.stderr)
         evals.append(evaluate_app(name, args.scale, args.nodes))
 
-    fault_rows, fault_cfg = None, None
-    if args.fault_drop > 0.0:
-        fault_cfg = FaultConfig(
-            drop_prob=args.fault_drop,
-            dup_prob=args.fault_drop / 2,
-            jitter_ns=10 * US,
-            seed=args.fault_seed,
-        )
+    fault_rows = None
+    if fault_cfg is not None:
         fault_rows = []
         for e in evals:
             print(f"evaluating {e.app} at {args.fault_drop:.0%} drop ...",

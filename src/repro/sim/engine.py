@@ -17,9 +17,9 @@ Two interchangeable schedulers implement that total order:
   order *is* seq order.  This turns the dominant scheduling pattern
   (near-future inserts + resolve-at-now hops) into O(1) appends instead of
   O(log n) sifts over one big heap.
-* ``scheduler="heap"`` — the original single binary heap, kept as a
-  debug/differential-testing mode: it must produce bit-identical simulated
-  results to the calendar queue (asserted across the fuzz matrix by
+* ``scheduler="heap"`` — the original single binary heap, kept only as
+  the differential oracle: it must produce bit-identical simulated results
+  to the calendar queue (asserted across the fuzz matrix by
   ``tests/test_engine_differential.py``).
 
 Processes (see :mod:`repro.sim.process`) are generators driven by the engine.
@@ -30,8 +30,14 @@ A process yields either
 * a :class:`Future`, meaning *resume me when this future resolves* (the
   resolved value is sent back into the generator), or
 * a :class:`Serve` command (from :meth:`repro.sim.resource.Resource.use`),
-  meaning *occupy that resource and resume me when my turn finishes* —
-  the fused one-event equivalent of ``yield resource.serve(ns)``.
+  meaning *occupy that resource and resume me when my turn finishes*.
+
+Every FIFO occupancy — a process's ``Serve``, a protocol handler, a link
+serialization, a switch port's forwarding — completes the same way: the
+resource is charged with ``occupy_end``, and :meth:`Engine.complete_at`
+schedules one completion event at the finish time that hops, at the same
+instant, to the continuation ``fn(*args)`` — a function and its argument
+tuple, never a closure.
 
 This tiny vocabulary is sufficient to express CPUs, protocol handlers,
 network messages and barriers, and keeps the hot loop small — important
@@ -40,7 +46,6 @@ because protocol-heavy runs schedule hundreds of thousands of events.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
@@ -78,9 +83,8 @@ class Serve:
 
     Yielded by processes via :meth:`Resource.use`.  The engine interprets it
     inline inside :meth:`Engine._step`: it advances the resource's FIFO
-    occupancy and schedules exactly one wake-up event at the finish time —
-    versus the classic ``serve()`` path's Future allocation plus two events
-    (resolve + wake-up hop).  Each resource keeps one mutable ``Serve``
+    occupancy and wakes the process through :meth:`Engine.complete_at` —
+    no Future, no closure.  Each resource keeps one mutable ``Serve``
     singleton; that is safe because the command is consumed synchronously
     within the very ``gen.send`` round that yielded it.
     """
@@ -172,15 +176,8 @@ class Engine:
     ----------
     scheduler:
         ``"calendar"`` (default) or ``"heap"``.  Both produce bit-identical
-        simulated results; ``"heap"`` is the original binary-heap scheduler
-        kept for differential testing.  The default can be overridden with
-        the ``REPRO_ENGINE`` environment variable.
-    fused:
-        Enable fused fast paths (``Resource.use`` / one-event handler
-        dispatch) throughout the Tempest model.  Defaults to ``True`` under
-        the calendar scheduler and ``False`` under the heap scheduler, so
-        ``scheduler="heap"`` reproduces the seed engine's exact event
-        sequence as well as its results.
+        simulated results; ``"heap"`` is the original binary-heap scheduler,
+        kept as the differential-test oracle.
 
     Example
     -------
@@ -204,28 +201,23 @@ class Engine:
         "max_queue_depth",
         "_npending",
         "scheduler",
-        "fused",
         # calendar-queue scheduler
         "_nowq",
         "_cur",
         "_cur_key",
         "_buckets",
         "_bucket_keys",
-        # heap scheduler (debug / differential mode)
+        # heap scheduler (differential oracle)
         "_heap",
     )
 
     #: shared empty args tuple: no per-event allocation for argless events
     _NO_ARGS: tuple = ()
 
-    def __init__(self, scheduler: str | None = None,
-                 fused: bool | None = None) -> None:
-        if scheduler is None:
-            scheduler = os.environ.get("REPRO_ENGINE", "calendar")
+    def __init__(self, scheduler: str = "calendar") -> None:
         if scheduler not in ("calendar", "heap"):
             raise SimulationError(f"unknown scheduler {scheduler!r}")
         self.scheduler = scheduler
-        self.fused = (scheduler != "heap") if fused is None else fused
         self._seq = 0
         self.now = 0
         self._live_processes = 0
@@ -300,7 +292,7 @@ class Engine:
         Semantically ``call_at(self.now, ...)``, minus the time checks and
         bucket math that cannot apply to a same-instant event.  This is the
         single hottest scheduling call (future resolution, process spawns
-        and every same-instant hop in the fused fast paths).
+        and every occupancy's completion hop).
         """
         self._seq += 1
         npending = self._npending + 1
@@ -312,6 +304,18 @@ class Engine:
     def call_after(self, delay: int, fn: Callable[..., None], *args: Any) -> None:
         """Schedule ``fn(*args)`` ``delay`` nanoseconds from now."""
         self.call_at(self.now + delay, fn, *args)
+
+    def complete_at(self, when: int, fn: Callable[..., None], args: tuple) -> None:
+        """Complete an occupancy at ``when``, then run ``fn(*args)``.
+
+        Two ``(time, seq)`` slots: a completion event at ``when`` that hops,
+        at the same instant, to ``fn(*args)`` at the tail of that instant's
+        queue — so a continuation runs after everything already scheduled
+        for the finish time.  This is the one way every FIFO occupancy
+        (process ``Serve``, protocol handler, link, switch port) completes.
+        """
+        # The completion event is call_now itself: it queues the hop.
+        self.call_at(when, self.call_now, fn, *args)
 
     def future(self, label: str = "") -> Future:
         return Future(self, label)
@@ -333,16 +337,6 @@ class Engine:
         self._live_processes += 1
         self.call_now(self._step, gen, None, done)
         return done
-
-    def _serve_hop(self, gen: Generator[Any, Any, Any], done: Future) -> None:
-        """Completion event of a fused ``Serve``: re-queue the process wake-up.
-
-        Mirrors ``Future.resolve``'s wake-at-now hop so the fused path
-        occupies exactly the same two (time, seq) slots as the classic
-        ``serve()`` chain — the process resumes at the same position in the
-        global dispatch order either way.
-        """
-        self.call_now(self._step, gen, None, done)
 
     def _close_process(self, done: Future) -> None:
         """Close a cancelled guard's generator exactly once."""
@@ -385,16 +379,12 @@ class Engine:
                 self.call_at(self.now + cmd, self._step, gen, None, done)
                 return
             if cls is Serve:
-                # Fused resource occupancy: bump the resource's FIFO tail
-                # and wake the process through the same two-event chain the
-                # classic path uses (completion event, then a same-instant
-                # hop) — but with no Future, no label, no closure.  Keeping
-                # the event chain shape keeps every (time, seq) interleaving
-                # byte-identical to the unfused engine.  (The command object
-                # is a per-resource singleton; it is fully consumed right
-                # here, before anyone else can touch it.)
-                self.call_at(
-                    cmd.resource.occupy_end(cmd.ns), self._serve_hop, gen, done
+                # Resource occupancy: bump the resource's FIFO tail and wake
+                # the process through the completion chain.  (The command
+                # object is a per-resource singleton; it is fully consumed
+                # right here, before anyone else can touch it.)
+                self.complete_at(
+                    cmd.resource.occupy_end(cmd.ns), self._step, (gen, None, done)
                 )
                 return
             if isinstance(cmd, int):
@@ -499,7 +489,7 @@ class _HeapEngine(Engine):
     """The seed binary-heap scheduler, selected via ``Engine(scheduler="heap")``.
 
     Bit-identical simulated results to the calendar queue; kept as the
-    reference implementation for differential tests and as a debug fallback.
+    reference implementation for differential tests.
     """
 
     __slots__ = ()

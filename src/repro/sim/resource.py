@@ -4,7 +4,10 @@
 protocol processor, or a network interface.  Because service is FIFO and the
 service time of each job is known when it is submitted, the completion time
 of a job is simply ``max(now, free_at) + duration``; no explicit queue needs
-to be simulated, which keeps the hot path O(log n) (one heap push).
+to be simulated.  A caller charges the job with :meth:`Resource.occupy_end`
+and schedules its continuation with
+:meth:`~repro.sim.engine.Engine.complete_at`; a process simply yields
+:meth:`Resource.use`.
 
 :class:`PortedResource` generalizes this to a bank of parallel FIFO servers
 (the output ports of a switch fabric): each job names its port and may carry
@@ -28,8 +31,7 @@ __all__ = ["CountingSemaphore", "PortedResource", "Resource"]
 class Resource:
     """Non-preemptive FIFO single server with utilization accounting."""
 
-    __slots__ = ("_engine", "_free_at", "busy_ns", "jobs", "label",
-                 "_serve_label", "_cmd")
+    __slots__ = ("_engine", "_free_at", "busy_ns", "jobs", "label", "_cmd")
 
     def __init__(self, engine: Engine, label: str = "resource") -> None:
         self._engine = engine
@@ -37,9 +39,8 @@ class Resource:
         self.busy_ns = 0
         self.jobs = 0
         self.label = label
-        self._serve_label = label + ".serve"
-        # Reusable Serve command for the fused yield path; safe to share
-        # because the engine consumes it synchronously (see Serve docs).
+        # Reusable Serve command for the yield path; safe to share because
+        # the engine consumes it synchronously (see Serve docs).
         self._cmd = Serve(self)
 
     @property
@@ -47,40 +48,25 @@ class Resource:
         """Earliest time a newly submitted job could start service."""
         return max(self._free_at, self._engine.now)
 
-    def serve(self, duration: int, tag: object = None) -> Future:
-        """Submit a job of ``duration`` ns; returns a future resolved at its
-        completion time.  Jobs are served in submission order."""
-        if duration < 0:
-            raise SimulationError(f"negative service time {duration}")
-        start = max(self._free_at, self._engine.now)
-        finish = start + duration
-        self._free_at = finish
-        self.busy_ns += duration
-        self.jobs += 1
-        done = self._engine.future(self._serve_label)
-        self._engine.call_at(finish, done.resolve, tag)
-        return done
+    def use(self, duration: int) -> Serve:
+        """Yieldable command: occupy the resource for ``duration`` ns and
+        resume the yielding process when the job finishes.
 
-    def use(self, duration: int) -> object:
-        """Yieldable command equivalent to ``yield resource.serve(duration)``.
-
-        Under a fused engine the scheduler interprets the returned
-        :class:`~repro.sim.engine.Serve` command inline — one wake-up event,
-        no Future — with identical timing and FIFO semantics.  Under an
-        unfused (heap/debug) engine this transparently falls back to the
-        classic future-based path, so call sites never need to branch.
+        The engine interprets the returned :class:`~repro.sim.engine.Serve`
+        inline — :meth:`occupy_end` plus one
+        :meth:`~repro.sim.engine.Engine.complete_at` wake-up, no Future.
+        Jobs are served in submission order.
         """
-        if self._engine.fused:
-            cmd = self._cmd
-            cmd.ns = duration
-            return cmd
-        return self.serve(duration)
+        cmd = self._cmd
+        cmd.ns = duration
+        return cmd
 
     def occupy_end(self, duration: int) -> int:
         """Charge the resource for ``duration`` ns; return the finish time.
 
-        Same accounting as :meth:`serve` with no event and no future — the
-        caller schedules (or skips) the completion itself.
+        FIFO: the job starts when every earlier job has finished (or now,
+        if the resource is idle).  No event is scheduled — the caller
+        schedules the completion itself.
         """
         if duration < 0:
             raise SimulationError(f"negative occupancy {duration}")
@@ -93,14 +79,6 @@ class Resource:
         self.busy_ns += duration
         self.jobs += 1
         return finish
-
-    def occupy(self, duration: int) -> None:
-        """Charge the resource for ``duration`` ns without a completion event.
-
-        Used for fire-and-forget occupancy (e.g. a protocol handler whose
-        completion no process waits on).
-        """
-        self.occupy_end(duration)
 
     def utilization(self, elapsed_ns: int) -> float:
         """Fraction of ``elapsed_ns`` this resource spent busy."""
@@ -140,38 +118,15 @@ class PortedResource:
         return max(self._free_at[port], self._engine.now)
 
     def serve_at(
-        self, port: int, release_ns: int, duration: int, tag: object = None
-    ) -> tuple[int, int, Future]:
-        """Submit a job eligible at ``release_ns`` taking ``duration`` ns.
-
-        Returns ``(start, finish, future)``: service runs [start, finish)
-        with ``start = max(port_free_at, release_ns, now)``, and the future
-        resolves at ``finish``.  ``start - release_ns`` is the job's
-        queueing (contention) delay, accumulated in ``wait_ns[port]``.
-        """
-        if duration < 0:
-            raise SimulationError(f"negative service time {duration}")
-        if release_ns < self._engine.now:
-            raise SimulationError(
-                f"release time {release_ns} is in the past (now {self._engine.now})"
-            )
-        start = max(self._free_at[port], release_ns)
-        finish = start + duration
-        self._free_at[port] = finish
-        self.busy_ns[port] += duration
-        self.wait_ns[port] += start - release_ns
-        self.jobs[port] += 1
-        done = self._engine.future(f"{self.label}.serve")
-        self._engine.call_at(finish, done.resolve, tag)
-        return start, finish, done
-
-    def serve_at_end(
         self, port: int, release_ns: int, duration: int
     ) -> tuple[int, int]:
-        """:meth:`serve_at` without the completion future: ``(start, finish)``.
+        """Submit a job eligible at ``release_ns`` taking ``duration`` ns.
 
-        Same accounting and FIFO semantics; the caller schedules the
-        completion itself (the fused switch path).
+        Returns ``(start, finish)``: service runs [start, finish) with
+        ``start = max(port_free_at, release_ns)``.  ``start - release_ns``
+        is the job's queueing (contention) delay, accumulated in
+        ``wait_ns[port]``.  No event is scheduled — the caller schedules
+        the completion itself.
         """
         if duration < 0:
             raise SimulationError(f"negative service time {duration}")

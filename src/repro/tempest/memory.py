@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -370,9 +370,6 @@ class SharedMemory:
             if arr.base <= byte < arr.base + arr.nbytes:
                 return arr
         return None
-
-    def iter_arrays(self) -> Iterator[GlobalArray]:
-        return iter(self.arrays.values())
 
     def total_bytes(self) -> int:
         """Sum of array payloads (not counting page padding)."""

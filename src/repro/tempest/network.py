@@ -153,7 +153,6 @@ class Network:
         "_pending",
         "_last_ctl",
         "transport",
-        "_fused_wire",
         "_arrival_delay_ns",
         "_bw_bytes_per_us",
     )
@@ -210,16 +209,7 @@ class Network:
             self.transport = ReliableTransport(self, config.faults)
         else:
             self.transport = None
-        # Perfect plain wire (no switch, no combining, no faults) under a
-        # fused engine: _put_on_wire takes the allocation-free two-event
-        # path.  Precomputing the decision and the arrival delay keeps the
-        # per-frame branch to one attribute load.
-        self._fused_wire = (
-            engine.fused
-            and self.transport is None
-            and self.switch is None
-            and not self.combining
-        )
+        # Perfect-wire arrival: remaining propagation plus dispatch.
         self._arrival_delay_ns = (
             self.residual_latency_ns + config.dispatch_overhead_ns
         )
@@ -367,66 +357,55 @@ class Network:
         parent=None,
     ) -> None:
         """One frame onto the sender's link (reliable or perfect path)."""
-        if self._fused_wire:
-            # Perfect plain wire, fused: occupy the link and run the same
-            # serialization-done / same-instant-hop / arrival event chain
-            # as the classic serve().add_callback path — with no Future and
-            # no closures.  Identical (time, seq) slots, identical order.
-            # Inlined config.transfer_ns — same float expression, one fewer
-            # method call per frame.
-            finish = self.links[src].occupy_end(
-                int(size / self._bw_bytes_per_us * US)
-            )
-            self.engine.call_at(finish, self._wire_hop, dst, handler, handler_cost_ns)
-            return
         if self.transport is not None:
             self.transport.send(src, dst, kind, handler, handler_cost_ns, size, parent)
             return
-        cfg = self.config
-
-        def on_wire_done(_v: object) -> None:
-            # Past the bandwidth-limited path; arrival after the remaining
-            # propagation delay.
-            self.dispatch(
-                dst,
-                self.residual_latency_ns + cfg.dispatch_overhead_ns,
-                handler_cost_ns,
-                handler,
-            )
-
-        self.traverse(src, dst, size, on_wire_done, parent)
-
-    def _wire_hop(self, dst: int, handler: Callable[[], None], handler_cost_ns: int) -> None:
-        """Fused serialization completed: hop (Future.resolve mirror)."""
-        self.engine.call_now(self._wire_done, dst, handler, handler_cost_ns)
-
-    def _wire_done(self, dst: int, handler: Callable[[], None], handler_cost_ns: int) -> None:
-        """Fused wire completion: propagate and enter the destination."""
-        engine = self.engine
-        engine.call_at(
-            engine.now + self._arrival_delay_ns, self.nodes[dst].run_handler,
-            handler_cost_ns, handler,
+        # Past the bandwidth-limited path; arrival after the remaining
+        # propagation delay.
+        self.traverse(
+            src, dst, size, self.dispatch,
+            (dst, self._arrival_delay_ns, handler_cost_ns, handler), parent,
         )
 
-    @staticmethod
-    def _link_freed(_v: object) -> None:
-        """Link leg of a switched path: completion is port-side."""
-
     def traverse(
-        self, src: int, dst: int, size: int, on_done: Callable[[object], None],
-        parent=None,
+        self, src: int, dst: int, size: int, fn: Callable[..., None],
+        args: tuple = (), parent=None,
     ) -> None:
         """Move one frame through the bandwidth-limited part of the path.
 
-        Link-only model: the sender's link; ``on_done`` fires when
+        Link-only model: the sender's link; ``fn(*args)`` runs when
         serialization completes.  Switch model: the link, then the shared
-        switch's output port for ``dst``; ``on_done`` fires when the port
+        switch's output port for ``dst``; ``fn(*args)`` runs when the port
         finishes forwarding.  Either way the caller adds the remaining
         ``residual_latency_ns`` of propagation (plus any jitter) itself.
+
+        The single chokepoint for link occupancy: with combining enabled it
+        maintains the per-link busy count and flushes parked control frames
+        the moment the link goes idle — inside the same completion event,
+        so no extra engine events are scheduled.
         """
-        if self.switch is None:
-            self.serve_link(src, size, on_done)
+        hold_ns = 0
+        if self.switch is not None:
+            hold_ns = self._reserve_port(src, dst, size, fn, args, parent)
+            fn, args = self._link_freed, ()
+        # Inlined config.transfer_ns: same float expression, one fewer
+        # method call per frame.
+        finish = self.links[src].occupy_end(
+            int(size / self._bw_bytes_per_us * US) + hold_ns
+        )
+        if not self.combining:
+            self.engine.complete_at(finish, fn, args)
             return
+        self._link_jobs[src] += 1
+        self.engine.complete_at(finish, self._link_done, (src, fn, args))
+
+    def _reserve_port(
+        self, src: int, dst: int, size: int, fn: Callable[..., None],
+        args: tuple, parent,
+    ) -> int:
+        """Switch leg of :meth:`traverse`: book ``dst``'s output port, whose
+        completion runs ``fn(*args)``; return how long the sending link
+        stays held past serialization."""
         cfg = self.config
         # The whole path is reserved now: link occupancy and port service
         # times are known at submission, so contention delay is exact.
@@ -434,7 +413,10 @@ class Network:
         release = link_done + self._lat_to_switch
         port = dst % self.switch.n_ports
         forward_ns = cfg.switch_forward_ns(size)
-        start, _finish, fut = self.switch.serve_at(port, release, forward_ns)
+        start, finish = self.switch.serve_at(port, release, forward_ns)
+        # Scheduled before the link's completion, so the port's event takes
+        # the earlier seq of the two.
+        self.engine.complete_at(finish, self._port_done, (port, fn, args))
         wait = start - release
         st = self.stats[src]
         st.switch_frames += 1
@@ -455,45 +437,23 @@ class Network:
         # Backpressure: a backlogged port delays accepting the frame, and
         # the sending link stays held until it does (blocking flow
         # control) — upstream senders feel hot destinations.
-        self.serve_link(
-            src, size, self._link_freed,
-            hold_ns=start - self._lat_to_switch - link_done,
-        )
+        return start - self._lat_to_switch - link_done
 
-        def port_done(value: object) -> None:
-            self._port_depth[port] -= 1
-            on_done(value)
+    def _port_done(self, port: int, fn: Callable[..., None], args: tuple) -> None:
+        """A switch port finished forwarding: the frame leaves the switch."""
+        self._port_depth[port] -= 1
+        fn(*args)
 
-        fut.add_callback(port_done)
+    @staticmethod
+    def _link_freed() -> None:
+        """Link leg of a switched path: completion is port-side."""
 
-    def serve_link(
-        self,
-        src: int,
-        size: int,
-        on_done: Callable[[object], None],
-        hold_ns: int = 0,
-    ) -> None:
-        """Serialize ``size`` bytes on ``src``'s link, then ``on_done``.
-
-        The single chokepoint for link occupancy: with combining enabled it
-        maintains the per-link busy count and flushes parked control frames
-        the moment the link goes idle — inside the same completion event,
-        so no extra engine events are scheduled.  ``hold_ns`` extends the
-        occupancy past serialization (switch backpressure).
-        """
-        fut = self.links[src].serve(self.config.transfer_ns(size) + hold_ns)
-        if not self.combining:
-            fut.add_callback(on_done)
-            return
-        self._link_jobs[src] += 1
-
-        def wrapped(value: object) -> None:
-            self._link_jobs[src] -= 1
-            on_done(value)
-            if self._link_jobs[src] == 0:
-                self._flush_src(src)
-
-        fut.add_callback(wrapped)
+    def _link_done(self, src: int, fn: Callable[..., None], args: tuple) -> None:
+        """A combining link finished a frame: run ``fn``, flush if idle."""
+        self._link_jobs[src] -= 1
+        fn(*args)
+        if self._link_jobs[src] == 0:
+            self._flush_src(src)
 
     def _flush_src(self, src: int) -> None:
         """Link went idle: put every parked control frame on the wire."""
@@ -554,8 +514,10 @@ class Network:
         handler on ``dst``'s protocol CPU.  Loopback sends, perfect-wire
         arrivals and reliable-transport deliveries all land here.
         """
-        self.engine.call_after(
-            delay_ns, self.nodes[dst].run_handler, handler_cost_ns, handler
+        engine = self.engine
+        engine.call_at(
+            engine.now + delay_ns, self.nodes[dst].run_handler,
+            handler_cost_ns, handler,
         )
 
     def broadcast(

@@ -422,7 +422,7 @@ class ReliableTransport:
         # copy chain to exactly this send event.
         send_seq = None
 
-        def on_wire_done(_v: object) -> None:
+        def on_wire_done() -> None:
             # An active partition cuts the frame deterministically at the
             # end of its serialization — no RNG draw is consumed, so runs
             # without partition scenarios keep their exact draw sequence.
@@ -469,7 +469,7 @@ class ReliableTransport:
             send_seq = ev.seq
             if frame.first_send_seq is None:
                 frame.first_send_seq = ev.seq
-        net.traverse(frame.src, frame.dst, frame.size, on_wire_done, send_seq)
+        net.traverse(frame.src, frame.dst, frame.size, on_wire_done, (), send_seq)
 
     def _schedule_arrival(self, frame: _Frame) -> None:
         prof = self._profile(frame.src, frame.dst)
@@ -770,7 +770,7 @@ class ReliableTransport:
                 )
         seqs = [f.seq for f in frames]
 
-        def on_wire_done(_v: object) -> None:
+        def on_wire_done() -> None:
             # Acks crossing an active partition boundary are cut exactly
             # like data frames — deterministically, no draw consumed.
             if self._partitions and self._cut_now(acker, peer):

@@ -15,11 +15,19 @@ from repro.sim import (
 def test_single_job_completes_after_duration():
     eng = Engine()
     cpu = Resource(eng, "cpu")
-    done = cpu.serve(100)
+    resumed = []
+
+    def proc():
+        yield cpu.use(100)
+        resumed.append(eng.now)
+
+    done = eng.spawn(proc())
     eng.run()
     assert done.resolved
+    assert resumed == [100]
     assert eng.now == 100
     assert cpu.busy_ns == 100
+    assert cpu.jobs == 1
 
 
 def test_jobs_queue_fifo():
@@ -29,8 +37,8 @@ def test_jobs_queue_fifo():
 
     def submit():
         for dur in (100, 50, 25):
-            fut = cpu.serve(dur)
-            fut.add_callback(lambda _v: finish_times.append(eng.now))
+            finish = cpu.occupy_end(dur)
+            eng.complete_at(finish, lambda: finish_times.append(eng.now), ())
         yield Delay(0)
 
     eng.spawn(submit())
@@ -42,9 +50,15 @@ def test_job_submitted_later_starts_when_free():
     eng = Engine()
     cpu = Resource(eng, "cpu")
     results = []
-    cpu.serve(100).add_callback(lambda _v: results.append(eng.now))
+
+    def job(at, dur):
+        yield Delay(at)
+        yield cpu.use(dur)
+        results.append(eng.now)
+
+    eng.spawn(job(0, 100))
     # Submitted at t=30 while the first job runs: starts at 100.
-    eng.call_at(30, lambda: cpu.serve(10).add_callback(lambda _v: results.append(eng.now)))
+    eng.spawn(job(30, 10))
     eng.run()
     assert results == [100, 110]
 
@@ -52,40 +66,65 @@ def test_job_submitted_later_starts_when_free():
 def test_idle_gap_not_counted_busy():
     eng = Engine()
     cpu = Resource(eng, "cpu")
-    cpu.serve(10)
-    eng.call_at(100, lambda: cpu.serve(10))
+    cpu.occupy_end(10)
+    eng.call_at(100, lambda: cpu.occupy_end(10))
     eng.run()
     assert cpu.busy_ns == 20
-    assert cpu.utilization(eng.now) == pytest.approx(20 / 110)
+    assert cpu.free_at == 110
+    assert cpu.utilization(110) == pytest.approx(20 / 110)
 
 
 def test_occupy_charges_without_future():
     eng = Engine()
     cpu = Resource(eng, "cpu")
-    cpu.occupy(40)
-    done = cpu.serve(10)
+    assert cpu.occupy_end(40) == 40
+    eng.run()
+    assert eng.events_dispatched == 0     # no completion event scheduled
+    assert cpu.free_at == 40
+
+    def proc():
+        yield cpu.use(10)
+
+    done = eng.spawn(proc())
     eng.run()
     assert done.resolved
     assert eng.now == 50
+
+
+def test_completion_hops_behind_same_instant_events():
+    # complete_at takes two (time, seq) slots: the continuation runs after
+    # an event scheduled for the finish instant once the job was submitted.
+    eng = Engine()
+    cpu = Resource(eng, "cpu")
+    order = []
+    eng.complete_at(cpu.occupy_end(10), order.append, ("job",))
+    eng.call_at(10, order.append, "timer")
+    eng.run()
+    assert order == ["timer", "job"]
+    assert eng.events_dispatched == 3
 
 
 def test_negative_duration_rejected():
     eng = Engine()
     cpu = Resource(eng, "cpu")
     with pytest.raises(SimulationError):
-        cpu.serve(-1)
+        cpu.occupy_end(-5)
+
+    def proc():
+        yield cpu.use(-1)
+
+    eng.spawn(proc())
     with pytest.raises(SimulationError):
-        cpu.occupy(-5)
+        eng.run()
+    assert cpu.busy_ns == 0 and cpu.jobs == 0
 
 
 def test_ported_single_job_serves_at_release():
     eng = Engine()
     ports = PortedResource(eng, 2)
-    start, finish, done = ports.serve_at(0, 30, 10)
+    start, finish = ports.serve_at(0, 30, 10)
     assert (start, finish) == (30, 40)
-    eng.run()
-    assert done.resolved
-    assert eng.now == 40
+    assert ports.free_at(0) == 40
     assert ports.busy_ns == [10, 0]
     assert ports.wait_ns == [0, 0]
 
@@ -95,8 +134,8 @@ def test_ported_jobs_queue_fifo_per_port():
     # finishes, and its wait is exactly the overlap.
     eng = Engine()
     ports = PortedResource(eng, 2)
-    s0, f0, _ = ports.serve_at(0, 10, 100)
-    s1, f1, _ = ports.serve_at(0, 40, 50)
+    s0, f0 = ports.serve_at(0, 10, 100)
+    s1, f1 = ports.serve_at(0, 40, 50)
     assert (s0, f0) == (10, 110)
     assert (s1, f1) == (110, 160)
     assert ports.wait_ns[0] == 70
@@ -107,7 +146,7 @@ def test_ported_ports_are_independent():
     eng = Engine()
     ports = PortedResource(eng, 2)
     ports.serve_at(0, 0, 100)
-    s1, _f1, _ = ports.serve_at(1, 0, 100)
+    s1, _f1 = ports.serve_at(1, 0, 100)
     assert s1 == 0                        # no cross-port interference
     assert ports.wait_ns == [0, 0]
 
@@ -118,7 +157,7 @@ def test_ported_submission_order_wins_over_release_order():
     eng = Engine()
     ports = PortedResource(eng, 1)
     ports.serve_at(0, 50, 10)
-    s1, _f1, _ = ports.serve_at(0, 0, 10)
+    s1, _f1 = ports.serve_at(0, 0, 10)
     assert s1 == 60
     assert ports.wait_ns[0] == 60
 
@@ -129,7 +168,6 @@ def test_ported_free_at_tracks_clock_and_backlog():
     assert ports.free_at(0) == 0
     ports.serve_at(0, 0, 25)
     assert ports.free_at(0) == 25
-    eng.run()
     eng.call_at(100, lambda: None)
     eng.run()
     assert ports.free_at(0) == 100        # never in the past

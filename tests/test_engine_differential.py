@@ -1,9 +1,9 @@
 """Differential golden test: heap scheduler vs calendar-queue scheduler.
 
-The calendar-queue engine (PR 9) replaced the seed's single binary heap.
-The seed scheduler survives as ``Engine(scheduler="heap")`` — selected here
-via the ``REPRO_ENGINE`` environment variable, the supported debug flag —
-and the rewrite's correctness contract is that both schedulers produce
+The calendar-queue engine replaced the seed's single binary heap.  The
+seed scheduler survives as ``Engine(scheduler="heap")``, the differential
+oracle — selected here by substituting it for the ``Engine`` the cluster
+constructs — and the contract is that both schedulers produce
 **bit-identical simulated results** on every configuration: same elapsed
 time, same ClusterStats (full dataclass, no fields excluded), same
 numerics, across the fault / combining / switch / crash fuzz matrix.
@@ -18,8 +18,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+import repro.tempest.cluster
 from repro.apps import APPS
 from repro.runtime import run_shmem
+from repro.sim import Engine
 from repro.tempest.config import ClusterConfig, CombineConfig, SwitchConfig
 from repro.tempest.faults import (
     CrashScenario,
@@ -114,8 +116,16 @@ def _plain(obj):
 
 
 def _run(app, kw, scheduler, monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE", scheduler)
-    return run_shmem(APPS[app].program("default"), **kw)
+    engines = []
+
+    def make_engine():
+        engines.append(Engine(scheduler=scheduler))
+        return engines[-1]
+
+    monkeypatch.setattr(repro.tempest.cluster, "Engine", make_engine)
+    result = run_shmem(APPS[app].program("default"), **kw)
+    assert engines and all(e.scheduler == scheduler for e in engines)
+    return result
 
 
 @pytest.mark.parametrize("name,app,kw", MATRIX, ids=[m[0] for m in MATRIX])
@@ -128,9 +138,9 @@ def test_heap_and_calendar_bit_identical(name, app, kw, monkeypatch):
     assert cal.completed == heap.completed
 
     # Full ClusterStats dataclass equality — including the engine-side
-    # diagnostics (events_dispatched, max_queue_depth): the fused fast
-    # paths schedule the *same* event chains the classic paths do, so even
-    # the event count and queue high-water must agree.
+    # diagnostics (events_dispatched, max_queue_depth): both schedulers
+    # dispatch the same (time, seq) order, so even the event count and
+    # queue high-water must agree.
     assert _plain(cal.stats) == _plain(heap.stats)
 
     # Numerics: every output array bit-for-bit.

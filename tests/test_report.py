@@ -144,6 +144,27 @@ class TestMain:
         assert main(["--apps", "hpl"]) == 2
         assert "unknown apps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["--nodes", "0"], "--nodes"),
+        (["--nodes", "-3"], "--nodes"),
+        (["--fault-drop", "1.5"], "--fault-drop"),
+        (["--fault-drop", "-0.1"], "--fault-drop"),
+    ])
+    def test_bad_value_exits_2_before_evaluating(self, argv, flag,
+                                                 monkeypatch, capsys):
+        # A bad value is a usage error naming the flag, raised before the
+        # (expensive) evaluation matrix runs.
+        def no_evaluation(*_a, **_k):
+            raise AssertionError("evaluated before checking the flags")
+
+        monkeypatch.setattr("repro.report.evaluate_app", no_evaluation)
+        with pytest.raises(SystemExit) as exc:
+            main(["--apps", "grav", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}:" in err
+        assert "Traceback" not in err
+
     def test_bench_dir_with_no_artifacts_still_succeeds(self, tmp_path):
         # The tolerant loaders: an empty bench dir must produce a report
         # that *says* the artifacts are missing, not a traceback.
